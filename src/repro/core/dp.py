@@ -227,6 +227,28 @@ class SumMatrix:
             + p[c + 1, li][None, :]
         )
 
+    def cross_sums_block(
+        self, l0: int, l1: int, c: int, r0: int, r1: int, out: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`cross_sums_grid` for the contiguous border runs
+        ``l0..l1`` and ``r0..r1``, written into ``out`` (shape
+        ``(r1 - r0 + 1, l1 - l0 + 1)``).
+
+        The rectangle corners are read as slice views of the prefix block
+        instead of a fancy-index gather; the operation order is
+        :meth:`cross_sums_grid`'s, so the values are bitwise identical.
+        """
+        if not (0 <= l0 <= l1 <= c < r0 <= r1 < self._w):
+            raise ScanConfigError("borders out of range for cross_sums_block")
+        p = self._prefix
+        rows = slice(r0 + 1, r1 + 2)
+        cols = slice(l0, l1 + 1)
+        np.subtract(
+            (p[rows, c + 1] - p[c + 1, c + 1])[:, None], p[rows, cols], out=out
+        )
+        np.add(out, p[c + 1, cols][None, :], out=out)
+        return out
+
     def cross_sums_pairs(
         self, left_borders: np.ndarray, c: int, right_borders: np.ndarray
     ) -> np.ndarray:

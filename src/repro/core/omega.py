@@ -29,11 +29,23 @@ Three evaluators live here:
   pairs (test reference; O(W²) per (i, j) candidate).
 * :func:`omega_split_matrix` / :func:`omega_max_at_split` — the production
   path: all splits at once from a :class:`~repro.core.dp.SumMatrix`.
+
+:func:`omega_max_at_split` scores contiguous border runs (every grid
+plan's) in place, the way OmegaPlus's Kernel I reads window sums straight
+out of matrix M: Σ_LR is read as a slice of the prefix block, the
+window-pair counts come from cached tables, and the score grid lives in
+an :class:`OmegaWorkspace` owned by the scan. A workspace is not
+thread-safe; each scan (scanner sink, service request, worker block)
+keeps its own. Scores are bitwise identical to
+:func:`omega_split_matrix`, which stays the path for any other border
+set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from repro.core.dp import SumMatrix
@@ -46,6 +58,7 @@ __all__ = [
     "omega_split_matrix",
     "omega_max_at_split",
     "OmegaMaximum",
+    "OmegaWorkspace",
 ]
 
 #: OmegaPlus's denominator guard (same value as the original C source).
@@ -190,6 +203,116 @@ class OmegaMaximum:
     n_evaluations: int
 
 
+def _is_run(borders: np.ndarray) -> bool:
+    """True when ``borders`` is an ascending step-1 run of indices: a
+    strictly increasing integer array spanning exactly ``size - 1``."""
+    if borders[-1] - borders[0] != borders.size - 1:
+        return False
+    return borders.size <= 2 or bool((borders[1:] > borders[:-1]).all())
+
+
+class OmegaWorkspace:
+    """Reusable buffers for scoring Eq. (2) in place.
+
+    Scores a position's ``(R, L)`` grid in blocks of right-border rows
+    (about :attr:`BLOCK_SCORES` scores each, so a block's operands stay
+    cache-resident), keeping only a running first-hit maximum. Holds two
+    block buffers (the cross term and the numerator) and two window-pair
+    count tables indexed by window size: ``max(C(l,2) + C(r,2), 1)`` and
+    ``l · r``. Counts are exact small integers in float64, so a table
+    slice holds the same doubles :func:`omega_from_sums` computes. Every
+    array grows to the largest shape seen and is then reused, so a scan
+    allocates nothing per position once its widest position has been
+    scored.
+
+    A workspace belongs to one scan and is not thread-safe.
+    """
+
+    #: Target scores per row block (256 KiB per float64 buffer).
+    BLOCK_SCORES = 1 << 15
+
+    def __init__(self):
+        self._cross_buf = np.empty(0)
+        self._num_buf = np.empty(0)
+        # Rows: n_right - 1. Columns: n_left in *descending* order
+        # (column k holds n_left = n_cols - k), because ascending left
+        # borders give descending left-window sizes.
+        self._within_pairs = np.empty((0, 0))
+        self._cross_pairs = np.empty((0, 0))
+
+    def _counts(self, nr_lo: int, nr_hi: int, nl_hi: int, nl_lo: int):
+        """Table views for right-window sizes ``nr_lo..nr_hi`` (rows) and
+        left-window sizes ``nl_hi`` down to ``nl_lo`` (columns)."""
+        rows, cols = self._within_pairs.shape
+        if nr_hi > rows or nl_hi > cols:
+            rows, cols = max(rows, nr_hi), max(cols, nl_hi)
+            n_left = np.arange(cols, 0, -1, dtype=np.float64)
+            n_right = np.arange(1, rows + 1, dtype=np.float64)
+            within = _pairs(n_left)[None, :] + _pairs(n_right)[:, None]
+            self._within_pairs = np.maximum(within, 1.0, out=within)
+            self._cross_pairs = n_left[None, :] * n_right[:, None]
+        r = slice(nr_lo - 1, nr_hi)
+        k = slice(cols - nl_hi, cols - nl_lo + 1)
+        return self._within_pairs[r, k], self._cross_pairs[r, k]
+
+    def max_runs(
+        self,
+        sums: SumMatrix,
+        left_borders: np.ndarray,
+        c: int,
+        right_borders: np.ndarray,
+        *,
+        eps: float = DENOMINATOR_OFFSET,
+    ) -> tuple:
+        """``(omega, flat index)`` of the first maximum of
+        :func:`omega_split_matrix`'s grid, for non-empty, ascending step-1
+        border runs (the caller checks; :func:`omega_max_at_split` does).
+
+        Each block performs :func:`omega_from_sums`'s operations in its
+        order, so every score is bitwise identical; the single cell with
+        no within-window pair (l = r = 1) is set to 0 before the final
+        division, as the ``np.where`` there does. Blocks merge with
+        ``np.argmax``'s rule: the first maximum wins, and the first NaN
+        beats every number.
+        """
+        li, rj = left_borders, right_borders
+        n_left, n_right = li.size, rj.size
+        l0, l1 = int(li[0]), int(li[-1])
+        r0, r1 = int(rj[0]), int(rj[-1])
+        sum_l = sums.left_sums(li, c)[None, :]
+        sum_r = sums.right_sums(c, rj)[:, None]
+        within_pairs, cross_pairs = self._counts(
+            r0 - c, r1 - c, c - l0 + 1, c - l1 + 1
+        )
+        rows = max(1, min(n_right, self.BLOCK_SCORES // n_left))
+        if self._cross_buf.size < rows * n_left:
+            self._cross_buf = np.empty(rows * n_left)
+            self._num_buf = np.empty(rows * n_left)
+        best, best_at = 0.0, -1
+        for j0 in range(0, n_right, rows):
+            j1 = min(j0 + rows, n_right)
+            size = (j1 - j0) * n_left
+            cross = self._cross_buf[:size].reshape(j1 - j0, n_left)
+            num = self._num_buf[:size].reshape(j1 - j0, n_left)
+            sums.cross_sums_block(l0, l1, c, r0 + j0, r0 + j1 - 1, out=cross)
+            np.divide(cross, cross_pairs[j0:j1], out=cross)
+            np.add(cross, eps, out=cross)
+            np.add(sum_l, sum_r[j0:j1], out=num)
+            np.divide(num, within_pairs[j0:j1], out=num)
+            if j0 == 0 and l1 == c and r0 == c + 1:
+                num[0, -1] = 0.0
+            np.divide(num, cross, out=num)
+            k = int(np.argmax(num))
+            value = num.flat[k]
+            if (
+                best_at < 0
+                or value > best
+                or (value != value and best == best)  # the first NaN
+            ):
+                best, best_at = value, j0 * n_left + k
+        return float(best), best_at
+
+
 def omega_max_at_split(
     sums: SumMatrix,
     left_borders: np.ndarray,
@@ -197,18 +320,31 @@ def omega_max_at_split(
     right_borders: np.ndarray,
     *,
     eps: float = DENOMINATOR_OFFSET,
+    workspace: Optional[OmegaWorkspace] = None,
 ) -> OmegaMaximum:
-    """Maximize ω over all border combinations at a fixed split ``c``."""
+    """Maximize ω over all border combinations at a fixed split ``c``.
+
+    Contiguous border runs are scored in place in ``workspace`` (a fresh
+    one when omitted; pass the scan's own to allocate nothing per call).
+    Other border sets fall back to :func:`omega_split_matrix`. Both give
+    the same maximum, borders and first-hit tie-breaking bit for bit.
+    """
     li = np.asarray(left_borders, dtype=np.intp)
     rj = np.asarray(right_borders, dtype=np.intp)
     if li.size == 0 or rj.size == 0:
         return OmegaMaximum(0.0, -1, -1, 0)
-    scores = omega_split_matrix(sums, li, c, rj, eps=eps)
-    flat = int(np.argmax(scores))
-    jj, ii = np.unravel_index(flat, scores.shape)
+    if _is_run(li) and _is_run(rj):
+        if workspace is None:
+            workspace = OmegaWorkspace()
+        omega, flat = workspace.max_runs(sums, li, c, rj, eps=eps)
+    else:
+        scores = omega_split_matrix(sums, li, c, rj, eps=eps)
+        flat = int(np.argmax(scores))
+        omega = float(scores.flat[flat])
+    jj, ii = divmod(flat, li.size)
     return OmegaMaximum(
-        omega=float(scores[jj, ii]),
+        omega=omega,
         left_border=int(li[ii]),
         right_border=int(rj[jj]),
-        n_evaluations=int(scores.size),
+        n_evaluations=int(li.size * rj.size),
     )

@@ -9,7 +9,10 @@ the same idea at *two* levels:
 
 * :class:`R2RegionCache` — reuse of the r² matrix itself, where the
   expensive O(W² · samples) work lives: entries for the overlapping SNP
-  block are copied, only the new rows and columns are computed.
+  block stay in place in one anchored buffer, only the new rows and
+  columns are computed, and each region is served as a read-only view
+  that is valid until the next :meth:`~R2RegionCache.region_matrix`
+  call.
 * :class:`SumMatrixCache` — reuse of the window-sum DP structure
   (:class:`~repro.core.dp.SumMatrix`, Eq. 3). The prefix-sum block built
   for the previous region is *relocated* (served as an offset view — every
@@ -140,6 +143,15 @@ class R2RegionCache:
     """Serve per-region r² matrices, reusing the overlap with the previous
     region.
 
+    The cache owns one square buffer whose cell ``[i, j]`` holds r² of
+    global sites ``anchor + i`` and ``anchor + j``, with side at most
+    :attr:`CAPACITY_FACTOR` times the widest region served. A region
+    that fits at the anchor is served as a read-only view with only its
+    fresh fringe written; one that does not re-anchors in place (the
+    overlap is shifted within the buffer), so a scan holds one r²
+    buffer, never a copy per position. A served view is valid until the
+    next :meth:`region_matrix` call; copy it to keep it longer.
+
     Parameters
     ----------
     alignment:
@@ -169,6 +181,10 @@ class R2RegionCache:
     #: with a clear message instead of an opaque MemoryError when a
     #: misconfigured max_window asks for a chromosome-sized region.
     DEFAULT_MAX_REGION_BYTES = 512 * 1024 * 1024
+    #: Side of the anchored buffer relative to the region width that
+    #: (re)allocates it: the slack lets the grid advance that far before
+    #: an in-place re-anchor.
+    CAPACITY_FACTOR = 1.25
 
     def __init__(
         self,
@@ -213,15 +229,24 @@ class R2RegionCache:
             )
         self._prev_start: Optional[int] = None
         self._prev_stop: Optional[int] = None
-        self._prev_matrix: Optional[np.ndarray] = None
+        #: The anchored r² buffer: cell ``[i, j]`` holds r² of global
+        #: sites ``anchor + i`` and ``anchor + j``.
+        self._buf: Optional[np.ndarray] = None
+        self._anchor = 0
         self.stats = ReuseStats()
+
+    @property
+    def capacity(self) -> int:
+        """Side length of the anchored buffer (0 before the first call)."""
+        return 0 if self._buf is None else self._buf.shape[0]
 
     def region_matrix(self, start: int, stop: int) -> np.ndarray:
         """r² matrix for global sites ``[start .. stop]`` (inclusive).
 
-        When the request overlaps the previously served region, the
-        overlapping sub-block is copied from the cached matrix and only the
-        rows/columns of newly entered SNPs are computed.
+        Returns a read-only view of the anchored buffer, valid until the
+        next call on this cache. When the request overlaps the previously
+        served region, the overlap is already in place and only the rows
+        and columns of newly entered SNPs are computed.
         """
         n = self._n_sites
         if not (0 <= start <= stop < n):
@@ -236,28 +261,23 @@ class R2RegionCache:
                 f"matrix (cap {self._max_region_bytes / 1e6:.0f} MB); "
                 f"reduce max_window or raise max_region_bytes"
             )
-        out = np.empty((width, width))
-
-        prev_ok = (
-            self._prev_matrix is not None
-            and self._prev_start is not None
-            and self._prev_stop is not None
-            and max(start, self._prev_start) <= min(stop, self._prev_stop)
+        prev_ok = self._prev_start is not None and (
+            max(start, self._prev_start)
+            <= min(stop, self._prev_stop)  # type: ignore[type-var]
         )
         if not prev_ok:
+            self._place(start, stop, None)
+            out = self._view(start, width)
             out[:] = self._block(slice(start, stop + 1), slice(start, stop + 1))
             self.stats.entries_computed += width * width
         else:
             o_lo = max(start, self._prev_start)  # type: ignore[arg-type]
-            o_hi = min(stop, self._prev_stop)  # type: ignore[arg-type]
-            # Local coordinates of the overlap in old and new matrices.
+            o_hi = min(stop, self._prev_stop)  # type: ignore[type-var]
+            self._place(start, stop, (o_lo, o_hi))
+            out = self._view(start, width)
+            # Local coordinates of the overlap in the new region.
             new_a, new_b = o_lo - start, o_hi - start
-            old_a, old_b = o_lo - self._prev_start, o_hi - self._prev_start  # type: ignore[operator]
-            out[new_a : new_b + 1, new_a : new_b + 1] = self._prev_matrix[  # type: ignore[index]
-                old_a : old_b + 1, old_a : old_b + 1
-            ]
-            reused = (new_b - new_a + 1) ** 2
-            self.stats.entries_reused += reused
+            self.stats.entries_reused += (new_b - new_a + 1) ** 2
 
             # New sites enter on either side of the overlap; a forward scan
             # only adds on the right, but both are handled for generality.
@@ -285,13 +305,86 @@ class R2RegionCache:
                 self.stats.entries_computed += 2 * rows.size - seg**2
         self.stats.regions_served += 1
         self._prev_start, self._prev_stop = start, stop
-        self._prev_matrix = out
-        return out
+        served = out.view()
+        served.flags.writeable = False
+        return served
+
+    def _view(self, start: int, width: int) -> np.ndarray:
+        lo = start - self._anchor
+        return self._buf[lo : lo + width, lo : lo + width]  # type: ignore[index]
+
+    def _place(self, start: int, stop: int, keep) -> None:
+        """Make ``[start, stop]`` addressable in the buffer, moving the
+        overlap square ``keep = (lo, hi)`` (global sites) along with the
+        anchor.
+
+        A region that fits at the current anchor changes nothing. One
+        that does not, but fits the capacity, re-anchors *in place*: the
+        overlap is shifted row block by row block, so no second buffer
+        exists even transiently. Only a region wider than the capacity
+        allocates (``CAPACITY_FACTOR`` x its width).
+        """
+        cap = self.capacity
+        width = stop - start + 1
+        if self._anchor <= start and stop < self._anchor + cap:
+            return
+        if width <= cap:
+            # Forward moves anchor at the region start (room to grow
+            # right); backward moves at its end (room to grow left).
+            if start >= self._anchor:
+                anchor = start
+            else:
+                anchor = max(0, stop + 1 - cap)
+            if keep is not None:
+                _shift_square(
+                    self._buf,  # type: ignore[arg-type]
+                    keep[0] - self._anchor,
+                    keep[0] - anchor,
+                    keep[1] - keep[0] + 1,
+                )
+            self._anchor = anchor
+            return
+        # Each bound is >= width (the byte cap was checked per region).
+        cap = min(
+            self._n_sites,
+            math.isqrt(self._max_region_bytes // 8),
+            math.ceil(self.CAPACITY_FACTOR * width),
+        )
+        buf = np.empty((cap, cap))
+        if keep is not None:
+            n = keep[1] - keep[0] + 1
+            src, dst = keep[0] - self._anchor, keep[0] - start
+            buf[dst : dst + n, dst : dst + n] = self._buf[  # type: ignore[index]
+                src : src + n, src : src + n
+            ]
+        self._buf, self._anchor = buf, start
 
     def reset(self) -> None:
-        """Drop the cached region (e.g. when jumping to a new chromosome)."""
+        """Forget the cached region (e.g. when jumping to a new
+        chromosome); the buffer is kept for the next region."""
         self._prev_start = self._prev_stop = None
-        self._prev_matrix = None
+
+
+def _shift_square(buf: np.ndarray, src: int, dst: int, n: int) -> None:
+    """Move the ``n x n`` square at ``buf[src:, src:]`` to
+    ``buf[dst:, dst:]`` in place.
+
+    Copies blocks of at most ``|src - dst|`` rows, ordered so that no
+    block overwrites rows not yet read (ascending towards the origin,
+    descending away from it); each block's source and destination rows
+    are disjoint, so no temporary the size of the square is made.
+    """
+    shift = abs(src - dst)
+    if shift == 0 or n == 0:
+        return
+    starts = range(0, n, shift)
+    if src < dst:
+        starts = reversed(starts)
+    for k in starts:
+        m = min(shift, n - k)
+        buf[dst + k : dst + k + m, dst : dst + n] = buf[
+            src + k : src + k + m, src : src + n
+        ]
 
 
 def _dp_choose_capacity(width: int, strides, growth: Optional[float]) -> int:
@@ -576,12 +669,18 @@ class SumMatrixCache:
         )
         self.stats.dp_anchor_allocs += 1
         self.stats.dp_anchor_span_total += self._capacity
+        # Drop the old block first, so a caller that holds no view of it
+        # never has two anchors resident at once.
+        self._prefix = None
         prefix = np.zeros((self._capacity + 1, self._capacity + 1))
-        sym = np.asarray(r2, dtype=np.float64).copy()
+        # Accumulate in place in the prefix block: cumsum is a sequential
+        # scan along each axis, so the values do not depend on the layout
+        # and no W x W temporary is made.
+        sym = prefix[1 : width + 1, 1 : width + 1]
+        sym[...] = r2
         np.fill_diagonal(sym, 0.0)
         np.cumsum(sym, axis=0, out=sym)
         np.cumsum(sym, axis=1, out=sym)
-        prefix[1 : width + 1, 1 : width + 1] = sym
         self._prefix = prefix
         self._anchor, self._hi = start, stop
         self._width = width

@@ -32,6 +32,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 import repro.obs as obs
+from repro.accel.backend import resolve_backend
 from repro.core.batch import (
     DEFAULT_BATCH_POSITIONS,
     BatchedOmegaPlan,
@@ -44,7 +45,11 @@ from repro.core.grid import (
     build_plans,
     build_plans_from_positions,
 )
-from repro.core.omega import DENOMINATOR_OFFSET, omega_max_at_split
+from repro.core.omega import (
+    DENOMINATOR_OFFSET,
+    OmegaWorkspace,
+    omega_max_at_split,
+)
 from repro.core.results import ScanResult, merge_scan_results
 from repro.core.reuse import (
     DpSeed,
@@ -163,11 +168,19 @@ class _OmegaBatchSink:
 
     ``add`` and ``flush`` must be called inside the ``omega`` phase timer
     so span sums keep matching the breakdown.
+
+    Direct positions are scored in place in ``workspace``
+    (:class:`~repro.core.omega.OmegaWorkspace`), which belongs to this
+    scan: a chunked scan passes the same one to every chunk's sink,
+    and concurrent scans never share one.
     """
 
     def __init__(self, config, site_positions, omegas, lefts, rights,
-                 evals, registry):
+                 evals, registry, workspace=None):
         self._eps = config.eps
+        self._workspace = (
+            workspace if workspace is not None else OmegaWorkspace()
+        )
         self._site_positions = site_positions
         self._omegas = omegas
         self._lefts = lefts
@@ -188,13 +201,11 @@ class _OmegaBatchSink:
         # attribute check per position) unless this process bound a slot.
         self._live = obs.live_slot()
         self._live_model = get_cost_model() if self._live is not None else None
-        # Lazy accel imports: repro.accel.gpu.omega_gpu imports this
+        # Lazy dispatcher import: repro.accel.gpu.omega_gpu imports this
         # module, so pulling the dispatcher in at module scope would be
         # a cycle. Resolution happens per sink so worker processes
         # honour REPRO_BACKEND on their own.
         self._executor = None
-        from repro.accel.backend import resolve_backend
-
         backend = resolve_backend(config.backend)
         if backend is not None:
             from repro.accel.gpu.dispatch import (
@@ -242,7 +253,9 @@ class _OmegaBatchSink:
                     int(res.n_evaluations[0]),
                 )
                 return
-            res = omega_max_at_split(sums, li, c, rj, eps=self._eps)
+            res = omega_max_at_split(
+                sums, li, c, rj, eps=self._eps, workspace=self._workspace
+            )
             self._store(
                 out_idx, off, res.omega, res.left_border,
                 res.right_border, res.n_evaluations,
@@ -351,32 +364,9 @@ class OmegaPlusScanner:
                 if not plan.valid:
                     continue
                 positions_evaluated.inc()
-                with tr.phase(breakdown, "ld", "phase"):
-                    if cfg.reuse:
-                        r2 = cache.region_matrix(
-                            plan.region_start, plan.region_stop
-                        )
-                    else:
-                        cache.reset()
-                        r2 = cache.region_matrix(
-                            plan.region_start, plan.region_stop
-                        )
-                with tr.phase(breakdown, "omega", "phase"):
-                    t0ns = time.perf_counter_ns()
-                    sums = dp_cache.region_sums(
-                        plan.region_start, plan.region_stop, r2
-                    )
-                    dtns = time.perf_counter_ns() - t0ns
-                    dp_name = (
-                        "dp_build"
-                        if dp_cache.last_action == "build"
-                        else "dp_reuse"
-                    )
-                    subphases.add(dp_name, dtns / 1e9)
-                    tr.add_complete(
-                        dp_name, "dp", t0ns // 1000, dtns // 1000
-                    )
-                    sink.add(k, plan, sums)
+                _scan_position(
+                    cfg, plan, k, cache, dp_cache, sink, breakdown, subphases
+                )
             if sink.pending:
                 with tr.phase(breakdown, "omega", "phase"):
                     sink.flush()
@@ -407,6 +397,31 @@ class OmegaPlusScanner:
             omega_subphases=subphases,
             metrics=metrics,
         )
+
+
+def _scan_position(
+    cfg, plan, out_idx, cache, dp_cache, sink, breakdown, subphases
+) -> None:
+    """One valid grid position: r² region, window sums, ω maximization.
+
+    The region matrix and window-sum view are locals, so neither
+    outlives the position: when the next position re-anchors the DP
+    cache, the old prefix block is already unreferenced and freed before
+    the new one is allocated.
+    """
+    tr = obs.get_tracer()
+    with tr.phase(breakdown, "ld", "phase"):
+        if not cfg.reuse:
+            cache.reset()
+        r2 = cache.region_matrix(plan.region_start, plan.region_stop)
+    with tr.phase(breakdown, "omega", "phase"):
+        t0ns = time.perf_counter_ns()
+        sums = dp_cache.region_sums(plan.region_start, plan.region_stop, r2)
+        dtns = time.perf_counter_ns() - t0ns
+        dp_name = "dp_build" if dp_cache.last_action == "build" else "dp_reuse"
+        subphases.add(dp_name, dtns / 1e9)
+        tr.add_complete(dp_name, "dp", t0ns // 1000, dtns // 1000)
+        sink.add(out_idx, plan, sums)
 
 
 def scan(
@@ -588,6 +603,7 @@ def _iter_stream_sequential(
         dp_cache = SumMatrixCache(reuse=cfg.dp_reuse, stats=cache.stats)
         if dp_seed is not None:
             dp_cache.seed(dp_seed)
+        workspace = OmegaWorkspace()
         window_iter = source.windows(
             [(lo, hi) for lo, hi, _a, _b in groups if hi > lo]
         )
@@ -629,34 +645,16 @@ def _iter_stream_sequential(
                     snapshot = dataclasses.replace(cache.stats)
                     sink = _OmegaBatchSink(
                         cfg, positions, omegas, lefts, rights, evals,
-                        registry,
+                        registry, workspace,
                     )
                     for k in range(plan_lo, plan_hi):
                         plan = plans[k]
                         if not plan.valid:
                             continue
-                        with tr.phase(breakdown, "ld", "phase"):
-                            if not cfg.reuse:
-                                cache.reset()
-                            r2 = cache.region_matrix(
-                                plan.region_start, plan.region_stop
-                            )
-                        with tr.phase(breakdown, "omega", "phase"):
-                            t0ns = time.perf_counter_ns()
-                            sums = dp_cache.region_sums(
-                                plan.region_start, plan.region_stop, r2
-                            )
-                            dtns = time.perf_counter_ns() - t0ns
-                            dp_name = (
-                                "dp_build"
-                                if dp_cache.last_action == "build"
-                                else "dp_reuse"
-                            )
-                            subphases.add(dp_name, dtns / 1e9)
-                            tr.add_complete(
-                                dp_name, "dp", t0ns // 1000, dtns // 1000
-                            )
-                            sink.add(k - plan_lo, plan, sums)
+                        _scan_position(
+                            cfg, plan, k - plan_lo, cache, dp_cache, sink,
+                            breakdown, subphases,
+                        )
                     if sink.pending:
                         with tr.phase(breakdown, "omega", "phase"):
                             sink.flush()

@@ -57,14 +57,22 @@ class PackedAlignment:
     @classmethod
     def from_alignment(cls, alignment: SNPAlignment) -> "PackedAlignment":
         """Pack each site column of ``alignment`` into 64-bit words."""
+        return cls.from_matrix(
+            alignment.matrix, alignment.positions, alignment.length
+        )
+
+    @classmethod
+    def from_matrix(
+        cls, matrix: np.ndarray, positions: np.ndarray, length: float
+    ) -> "PackedAlignment":
+        """Pack each site column of a (samples x sites) 0/1 matrix."""
         # Transpose to (n_sites, n_samples) so the packed axis is samples.
-        site_major = np.ascontiguousarray(alignment.matrix.T)
-        words = pack_bits(site_major)
+        site_major = np.ascontiguousarray(matrix.T)
         return cls(
-            words=words,
-            n_samples=alignment.n_samples,
-            positions=alignment.positions,
-            length=alignment.length,
+            words=pack_bits(site_major),
+            n_samples=matrix.shape[0],
+            positions=positions,
+            length=length,
         )
 
     def __post_init__(self) -> None:

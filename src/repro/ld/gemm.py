@@ -20,7 +20,7 @@ whole-chromosome all-pairs use :mod:`repro.ld.tiled` instead.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -105,7 +105,7 @@ def r_squared_matrix(
 
 
 def r_squared_block(
-    alignment: SNPAlignment,
+    alignment: Optional[SNPAlignment],
     rows: slice,
     cols: slice,
     *,
@@ -121,9 +121,11 @@ def r_squared_block(
     matrix. Only the requested columns are converted to float64 (slice
     first, then ``astype``); pass ``operands``
     (:class:`~repro.ld.operands.LDOperands`) to serve the conversion from
-    the per-alignment cached plane instead.
+    the per-alignment cached plane instead; ``alignment`` may then be
+    ``None``, since the operands carry the shape.
     """
-    n_sites = alignment.n_sites
+    shape = operands if operands is not None else alignment
+    n_sites = shape.n_sites
     r0, r1, rstep = rows.indices(n_sites)
     c0, c1, cstep = cols.indices(n_sites)
     if rstep != 1 or cstep != 1:
@@ -141,5 +143,5 @@ def r_squared_block(
     c_i = np.broadcast_to(counts[r0:r1, None], n11.shape)
     c_j = np.broadcast_to(counts[None, c0:c1], n11.shape)
     return r_squared_from_counts(
-        n11, c_i, c_j, alignment.n_samples, strict=strict
+        n11, c_i, c_j, shape.n_samples, strict=strict
     )

@@ -67,6 +67,11 @@ class LDOperands:
     max_gemm_plane_bytes:
         Cap on the cached float64 GEMM plane; see
         :data:`DEFAULT_MAX_GEMM_PLANE_BYTES`.
+
+    The instance keeps the alignment's arrays and only a *weak*
+    reference to the alignment itself: the :func:`operands_for` memo
+    holds instances strongly, and a strong back-reference would keep
+    every memoised alignment (and its planes) alive for good.
     """
 
     def __init__(
@@ -76,7 +81,10 @@ class LDOperands:
         packed: Optional[PackedAlignment] = None,
         max_gemm_plane_bytes: int = DEFAULT_MAX_GEMM_PLANE_BYTES,
     ):
-        self._alignment = alignment
+        self._source = weakref.ref(alignment)
+        self._matrix = alignment.matrix
+        self._positions = alignment.positions
+        self._length = alignment.length
         self._packed = packed
         self._gemm: Optional[np.ndarray] = None
         self._counts: Optional[np.ndarray] = None
@@ -85,16 +93,17 @@ class LDOperands:
     # -------------------------------------------------------------- #
 
     @property
-    def alignment(self) -> SNPAlignment:
-        return self._alignment
+    def alignment(self) -> Optional[SNPAlignment]:
+        """The source alignment, or ``None`` once it was collected."""
+        return self._source()
 
     @property
     def n_samples(self) -> int:
-        return self._alignment.n_samples
+        return int(self._matrix.shape[0])
 
     @property
     def n_sites(self) -> int:
-        return self._alignment.n_sites
+        return int(self._matrix.shape[1])
 
     @property
     def n_words(self) -> int:
@@ -112,7 +121,7 @@ class LDOperands:
             needed = 8 * self.n_samples * self.n_sites
             if needed > self._max_gemm_plane_bytes:
                 return None
-            self._gemm = self._alignment.matrix.astype(np.float64)
+            self._gemm = self._matrix.astype(np.float64)
         return self._gemm
 
     def gemm_columns(self, lo: int, hi: int) -> np.ndarray:
@@ -122,19 +131,21 @@ class LDOperands:
         plane = self.gemm_plane()
         if plane is not None:
             return plane[:, lo:hi]
-        return self._alignment.matrix[:, lo:hi].astype(np.float64)
+        return self._matrix[:, lo:hi].astype(np.float64)
 
     def packed(self) -> PackedAlignment:
         """The bit-packed word plane, packed once on first use (or the
         shared-memory attachment this instance was constructed around)."""
         if self._packed is None:
-            self._packed = PackedAlignment.from_alignment(self._alignment)
+            self._packed = PackedAlignment.from_matrix(
+                self._matrix, self._positions, self._length
+            )
         return self._packed
 
     def derived_counts(self) -> np.ndarray:
         """Per-site derived-allele counts, computed once."""
         if self._counts is None:
-            self._counts = self._alignment.derived_counts()
+            self._counts = self._matrix.sum(axis=0, dtype=np.int64)
         return self._counts
 
     def nbytes(self) -> int:
@@ -259,4 +270,4 @@ class LDBackendFiller:
             )
         from repro.ld.gemm import r_squared_block
 
-        return r_squared_block(ops.alignment, rows, cols, operands=ops)
+        return r_squared_block(None, rows, cols, operands=ops)

@@ -13,13 +13,15 @@ File format (little-endian throughout)
 
     offset  size  field
     0       8     magic  b"OMGLEDG1"
-    8       8     version (currently 1)
+    8       8     version (currently 2)
     16      8     n_slots
-    24      8     slot_size (currently 128)
+    24      8     slot_size (currently 256)
     32      32    zero padding
 
-followed by ``n_slots`` slots of 128 bytes (two cache lines on x86, one
-on Apple/POWER — no two writers ever share a line)::
+followed by ``n_slots`` slots of 256 bytes (four cache lines on x86 —
+no two writers ever share a line). A slot holds two 128-byte records
+with the same layout: the live record at offset 0 and a last-good
+*shadow* copy at offset 128::
 
     offset  size  field
     0       8     gen              seqlock generation counter
@@ -37,16 +39,22 @@ on Apple/POWER — no two writers ever share a line)::
 
 Seqlock protocol
 ----------------
-Each slot has exactly one writer at a time. A write increments ``gen``
-to an odd value, updates the payload, then increments ``gen`` again
-(even). A reader loads ``gen``, copies the payload, and re-loads
-``gen``: a stable even value means the copy is consistent; otherwise it
-retries a few times and, if the slot stays unstable, returns the fields
-anyway with ``torn=True``. A writer killed *mid-publish* therefore
-leaves a permanently odd ``gen`` — the reader still surfaces the last
-partially written numbers, flagged, and the stale heartbeat tells the
-rest of the story. No locks, no signals, no shared fate between reader
-and writer.
+Each slot has exactly one writer at a time. A publish packs the payload
+into a local buffer first, then writes each record the same way:
+increment ``gen`` to an odd value, store the payload with one slice
+assignment, increment ``gen`` again (even). It writes the live record,
+then the shadow. A reader loads ``gen``, copies the payload, and
+re-loads ``gen``: a stable even value means the copy is consistent;
+otherwise it retries a few times, then reads the shadow the same way.
+
+A writer killed *mid-publish* leaves at most one record unstable: dying
+in the live record leaves the shadow holding the previous publish, and
+dying in the shadow leaves the live record complete. The reader returns
+the live record when it is stable, else the shadow's consistent copy
+flagged ``torn=True`` (and the stale heartbeat tells the rest of the
+story); a slot whose records are both unstable, which no single writer
+can produce, surfaces the live record's bytes, flagged. No locks, no
+signals, no shared fate between reader and writer.
 
 Per-process publishing rides the same no-op fast path as tracing: hot
 code calls :func:`live_slot` once per operation and thereafter pays one
@@ -81,9 +89,11 @@ __all__ = [
 ]
 
 LEDGER_MAGIC = b"OMGLEDG1"
-LEDGER_VERSION = 1
+LEDGER_VERSION = 2
 HEADER_SIZE = 64
-SLOT_SIZE = 128
+SLOT_SIZE = 256
+#: Offset of the shadow record inside a slot.
+_SHADOW_OFF = SLOT_SIZE // 2
 
 _PHASE_LEN = 16
 _KEY_LEN = 32
@@ -265,21 +275,28 @@ class ProgressLedger:
             )
         return HEADER_SIZE + index * SLOT_SIZE
 
-    def read_slot(self, index: int) -> SlotView:
-        """Seqlock read: retry while the generation is odd or moving,
-        then fall back to a flagged torn copy."""
-        off = self._slot_off(index)
+    def _read_record(self, off: int):
+        """Seqlock read of the record at ``off``: ``(gen, payload,
+        stable)``, retrying while the generation is odd or moving."""
         mm = self._mm
-        torn = True
-        g0 = g1 = 0
-        payload = b""
+        g1, payload = 0, b""
         for _ in range(_READ_RETRIES):
             (g0,) = _GEN.unpack_from(mm, off)
             payload = mm[off + _PAYLOAD_OFF : off + _PAYLOAD_OFF + _PAYLOAD.size]
             (g1,) = _GEN.unpack_from(mm, off)
             if g0 == g1 and g0 % 2 == 0:
-                torn = False
-                break
+                return g1, payload, True
+        return g1, payload, False
+
+    def read_slot(self, index: int) -> SlotView:
+        """The live record when it is stable, else the last-good shadow
+        flagged ``torn``."""
+        off = self._slot_off(index)
+        gen, payload, stable = self._read_record(off)
+        if not stable:
+            _gen, shadow, shadow_stable = self._read_record(off + _SHADOW_OFF)
+            if shadow_stable:
+                payload = shadow
         (
             pid,
             started_ns,
@@ -294,7 +311,7 @@ class ProgressLedger:
         ) = _PAYLOAD.unpack(payload)
         return SlotView(
             index=index,
-            gen=g1,
+            gen=gen,
             pid=pid,
             started_ns=started_ns,
             heartbeat_ns=heartbeat_ns,
@@ -305,7 +322,7 @@ class ProgressLedger:
             rss_bytes=rss_bytes,
             phase=_unpad_ascii(phase_raw),
             key=_unpad_ascii(key_raw),
-            torn=torn,
+            torn=not stable,
         )
 
     def read_slots(self) -> List[SlotView]:
@@ -400,15 +417,8 @@ class SlotWriter:
     # -- seqlock write ------------------------------------------------ #
 
     def _write(self) -> None:
-        mm, off = self._mm, self._off
-        (gen,) = _GEN.unpack_from(mm, off)
-        if gen % 2:  # previous writer died mid-publish; take over cleanly
-            gen += 1
-        _GEN.pack_into(mm, off, gen + 1)  # odd: write in progress
         now = time.perf_counter_ns()
-        _PAYLOAD.pack_into(
-            mm,
-            off + _PAYLOAD_OFF,
+        payload = _PAYLOAD.pack(
             self._pid,
             self._started_ns,
             now,
@@ -420,8 +430,23 @@ class SlotWriter:
             _pad_ascii(self._phase, _PHASE_LEN),
             _pad_ascii(self._key, _KEY_LEN),
         )
-        _GEN.pack_into(mm, off, gen + 2)  # even: stable
+        self._publish(self._off, payload)
+        self._publish(self._off + _SHADOW_OFF, payload)
         self._last_publish_ns = now
+
+    def _publish(self, off: int, payload: bytes) -> None:
+        """Seqlock write of one record: odd gen, payload, even gen."""
+        (gen,) = _GEN.unpack_from(self._mm, off)
+        if gen % 2:  # previous writer died mid-publish; take over cleanly
+            gen += 1
+        self._store(off, _GEN.pack(gen + 1))  # odd: write in progress
+        self._store(off + _PAYLOAD_OFF, payload)
+        self._store(off, _GEN.pack(gen + 2))  # even: stable
+
+    def _store(self, off: int, data: bytes) -> None:
+        """Every byte a publish writes goes through here (one slice
+        assignment; tests replace it to stop a publish at any byte)."""
+        self._mm[off : off + len(data)] = data
 
     def _maybe_rss(self, now_ns: int) -> None:
         if now_ns - self._last_rss_ns >= _RSS_INTERVAL_NS:

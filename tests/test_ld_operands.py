@@ -96,6 +96,41 @@ class TestLDOperands:
         assert operands_for(a) is operands_for(a)
         assert operands_for(a) is not operands_for(b)
 
+    def test_operands_for_drops_dead_alignments(self, monkeypatch):
+        """The memo must not keep alignments alive: once the last
+        reference to each alignment is gone, its entry (and planes) go
+        too — a streamed scan's dead chunks must not pile up."""
+        import gc
+
+        import repro.ld.operands as operands_mod
+
+        monkeypatch.setattr(operands_mod, "_CACHE", {})
+        alignments = [random_alignment(10, 30, seed=s) for s in range(5)]
+        for aln in alignments:
+            ops = operands_for(aln)
+            ops.gemm_plane()
+            ops.packed()
+            LDBackendFiller(ops, "gemm")(slice(0, 5), slice(0, 5))
+        assert len(operands_mod._CACHE) == 5
+        del aln, ops, alignments
+        gc.collect()
+        assert operands_mod._CACHE == {}
+
+    def test_operands_outlive_their_alignment(self):
+        """A filler built on operands keeps working after the alignment
+        itself was collected (only the arrays are held)."""
+        import gc
+
+        aln = random_alignment(10, 30, seed=8)
+        expected = r_squared_block(aln, slice(0, 30), slice(0, 30))
+        filler = LDBackendFiller(LDOperands(aln), "auto")
+        del aln
+        gc.collect()
+        assert filler.operands.alignment is None
+        for backend in ("gemm", "packed"):
+            got = filler(slice(0, 30), slice(0, 30), backend=backend)
+            assert np.array_equal(got, expected)
+
     def test_operands_for_accepts_prebuilt_packed(self):
         aln = random_alignment(10, 30, seed=6)
         packed = PackedAlignment.from_alignment(aln)

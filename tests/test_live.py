@@ -47,6 +47,7 @@ from repro.obs.ledger import (
     LedgerFormatError,
     ProgressLedger,
     SlotView,
+    SlotWriter,
     bind_live_slot,
     live_slot,
 )
@@ -182,6 +183,66 @@ class TestLedger:
             assert not healed.torn
             assert healed.gen % 2 == 0
             assert healed.key == "retry"
+
+    def test_publish_stopped_at_every_byte_reads_consistently(
+        self, tmp_path, monkeypatch
+    ):
+        """Stop a publish after each possible count of written bytes (a
+        SIGKILL at that point): the reader returns the old record or the
+        new one, whole, and never a keyless slot."""
+        path = str(tmp_path / "x.ledger")
+        old = ("scan", 3, 6.0)
+        new = ("ingest", 7, 14.0)
+
+        class Killed(Exception):
+            pass
+
+        real_store = SlotWriter._store
+        written = []
+
+        def counting_store(self, off, data):
+            written.append(len(data))
+            real_store(self, off, data)
+
+        with ProgressLedger.create(path, 1) as ledger:
+            w = ledger.slot_writer(0, min_interval_ns=0)
+            monkeypatch.setattr(SlotWriter, "_store", counting_store)
+            w.bind(key="victim", phase="scan")
+            publish_bytes = sum(written)
+            monkeypatch.setattr(SlotWriter, "_store", real_store)
+            assert publish_bytes == 2 * (8 + 112 + 8)
+
+            for stop in range(publish_bytes + 1):
+                # A fresh writer heals the odd generation a stop left.
+                w = ledger.slot_writer(0, min_interval_ns=0)
+                w.bind(key="victim", phase="scan")
+                w.add_progress(3, 6.0)
+                budget = [stop]
+
+                def stopping_store(self, off, data):
+                    n = min(budget[0], len(data))
+                    real_store(self, off, data[:n])
+                    budget[0] -= n
+                    if n < len(data):
+                        raise Killed
+
+                monkeypatch.setattr(SlotWriter, "_store", stopping_store)
+                w.set_phase("ingest", publish=False)
+                try:
+                    w.add_progress(4, 8.0)
+                except Killed:
+                    pass
+                monkeypatch.setattr(SlotWriter, "_store", real_store)
+
+                slot = ledger.read_slot(0)
+                seen = (slot.phase, slot.positions_done, slot.est_cost_done)
+                assert slot.key == "victim", stop
+                assert slot.pid == os.getpid(), stop
+                assert seen in (old, new), (stop, seen)
+                if stop == 0:
+                    assert seen == old and not slot.torn
+                if stop == publish_bytes:
+                    assert seen == new and not slot.torn
 
     def test_live_slot_is_pid_guarded(self, tmp_path):
         path = str(tmp_path / "x.ledger")
@@ -637,16 +698,26 @@ class TestShardLedger:
         failure = []
 
         def assassin():
+            # The orchestrator records a worker's pid just after forking
+            # it, so a fast worker can reach the hold first: wait for
+            # both. Releasing the hold on every exit path keeps a failure
+            # here from parking the worker (and run_manifest) for good.
             deadline = time.monotonic() + 60
-            while not ack.exists():
-                if time.monotonic() > deadline:
-                    failure.append("worker never reached the hold")
-                    hold.unlink(missing_ok=True)
-                    return
-                time.sleep(0.01)
-            pid = Manifest.load(manifest.path).shard(victim).pid
-            os.kill(pid, signal.SIGKILL)
-            hold.unlink(missing_ok=True)
+            try:
+                pid = None
+                while pid is None:
+                    if time.monotonic() > deadline:
+                        failure.append("worker never reached the hold")
+                        return
+                    if ack.exists():
+                        pid = Manifest.load(manifest.path).shard(victim).pid
+                    if pid is None:
+                        time.sleep(0.01)
+                os.kill(pid, signal.SIGKILL)
+            except Exception as exc:
+                failure.append(f"assassin failed: {exc!r}")
+            finally:
+                hold.unlink(missing_ok=True)
 
         killer = threading.Thread(target=assassin)
         killer.start()

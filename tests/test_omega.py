@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.dp import SumMatrix
 from repro.core.omega import (
     DENOMINATOR_OFFSET,
+    OmegaWorkspace,
     omega_brute_force,
     omega_from_sums,
     omega_max_at_split,
@@ -154,3 +155,182 @@ class TestOmegaMax:
         bf = omega_brute_force(r2, a, c, b)
         res = omega_max_at_split(sm, np.array([a]), c, np.array([b]))
         assert res.omega == pytest.approx(bf, rel=1e-9, abs=1e-12)
+
+
+# --------------------------------------------------------------------- #
+# in-place Eq. 2: bitwise equal to omega_split_matrix + argmax
+# --------------------------------------------------------------------- #
+
+
+def _bits(omega, left, right, n_evaluations):
+    """Comparable result tuple; NaN scores compare by their bytes."""
+    return (np.float64(omega).tobytes(), left, right, n_evaluations)
+
+
+def _reference(sums, li, c, rj, eps):
+    scores = omega_split_matrix(sums, li, c, rj, eps=eps)
+    flat = int(np.argmax(scores))
+    jj, ii = np.unravel_index(flat, scores.shape)
+    return _bits(scores[jj, ii], int(li[ii]), int(rj[jj]), scores.size)
+
+
+def _in_place(sums, li, c, rj, eps, workspace):
+    res = omega_max_at_split(sums, li, c, rj, eps=eps, workspace=workspace)
+    return _bits(
+        res.omega, res.left_border, res.right_border, res.n_evaluations
+    )
+
+
+def _r2(kind: str, w: int, seed: int, cut: int) -> np.ndarray:
+    """Symmetric r² test matrices, including ones whose cross sums are
+    exactly zero (NaN and inf scores at eps = 0) and ones carrying a NaN
+    pair, whose NaN scores can first appear in a late row block."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((w, w))
+    if kind == "sparse":
+        a *= rng.random((w, w)) < 0.2
+    r2 = (a + a.T) / 2.0
+    if kind == "zeros":
+        r2[:] = 0.0
+    elif kind == "blocks":  # LD inside each flank, none across ``cut``
+        r2[:cut, cut:] = 0.0
+        r2[cut:, :cut] = 0.0
+    elif kind == "nan":
+        i, j = rng.integers(0, w, size=2)
+        r2[i, j] = r2[j, i] = np.nan
+    return r2
+
+
+@st.composite
+def _eq2_cases(draw, max_w=24):
+    w = draw(st.integers(2, max_w))
+    c = draw(st.integers(0, w - 2))
+    kind = draw(
+        st.sampled_from(["random", "sparse", "zeros", "blocks", "nan"])
+    )
+    sums = SumMatrix(_r2(kind, w, draw(st.integers(0, 2**16)), c + 1))
+    l0 = draw(st.integers(0, c))
+    l1 = draw(st.integers(l0, c))
+    r0 = draw(st.integers(c + 1, w - 1))
+    r1 = draw(st.integers(r0, w - 1))
+    eps = draw(st.sampled_from([DENOMINATOR_OFFSET, 0.0, 1.0]))
+    return sums, np.arange(l0, l1 + 1), c, np.arange(r0, r1 + 1), eps
+
+
+class TestInPlaceEq2:
+    @given(case=_eq2_cases(), block_scores=st.sampled_from([1, 3, 7, 1 << 15]))
+    @settings(max_examples=300, deadline=None)
+    def test_property_bitwise_equals_split_matrix(self, case, block_scores):
+        """Every row-block size (down to one row per block) merges to the
+        same first-hit maximum as one argmax over the whole grid."""
+        sums, li, c, rj, eps = case
+        ws = OmegaWorkspace()
+        ws.BLOCK_SCORES = block_scores
+        assert _in_place(sums, li, c, rj, eps, ws) == _reference(
+            sums, li, c, rj, eps
+        )
+
+    @given(
+        cases=st.lists(_eq2_cases(max_w=40), min_size=2, max_size=8),
+        block_scores=st.sampled_from([5, 1 << 15]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_workspace_across_growing_and_shrinking_shapes(
+        self, cases, block_scores
+    ):
+        ws = OmegaWorkspace()
+        ws.BLOCK_SCORES = block_scores
+        for sums, li, c, rj, eps in cases + cases[::-1]:
+            assert _in_place(sums, li, c, rj, eps, ws) == _reference(
+                sums, li, c, rj, eps
+            )
+
+    @pytest.mark.parametrize("eps", [DENOMINATOR_OFFSET, 0.0])
+    def test_corner_without_within_pairs(self, eps):
+        """l = r = 1 (borders c and c + 1) scores 0 whatever the sums."""
+        sums = SumMatrix(_r2("random", 12, 1, 0))
+        c = 5
+        for li, rj in (
+            (np.array([c]), np.array([c + 1])),
+            (np.arange(2, c + 1), np.arange(c + 1, 10)),
+        ):
+            got = _in_place(sums, li, c, rj, eps, OmegaWorkspace())
+            assert got == _reference(sums, li, c, rj, eps)
+        single = omega_max_at_split(sums, np.array([c]), c, np.array([c + 1]))
+        assert single.omega == 0.0
+
+    def test_zero_cross_sums_nan_and_inf_first_hit(self):
+        """eps = 0 with zero cross sums: 0/0 = NaN beats every number and
+        the first NaN wins; x/0 = inf otherwise. With LD only inside the
+        flanks the l = r = 1 corner is the one 0/0 cell."""
+        c = 6
+        ws = OmegaWorkspace()
+        ws.BLOCK_SCORES = 4
+        for kind, l1, expect in (
+            ("zeros", c, np.isnan),
+            ("blocks", c, np.isnan),
+            ("blocks", c - 1, np.isinf),
+        ):
+            sums = SumMatrix(_r2(kind, 14, 3, c + 1))
+            li, rj = np.arange(0, l1 + 1), np.arange(c + 1, 14)
+            got = _in_place(sums, li, c, rj, 0.0, ws)
+            assert got == _reference(sums, li, c, rj, 0.0)
+            assert expect(np.frombuffer(got[0])[0])
+
+    def test_nan_in_a_late_row_block_wins(self):
+        """A NaN pair far to the right poisons only the widest right
+        windows: finite scores in early row blocks, NaN in late ones —
+        the merge must still return the first NaN, as np.argmax does."""
+        r2 = _r2("random", 30, 6, 0)
+        r2[2, 27] = r2[27, 2] = np.nan
+        sums = SumMatrix(r2)
+        c, li, rj = 9, np.arange(0, 10), np.arange(10, 30)
+        ws = OmegaWorkspace()
+        ws.BLOCK_SCORES = 10  # one row per block
+        got = _in_place(sums, li, c, rj, DENOMINATOR_OFFSET, ws)
+        assert got == _reference(sums, li, c, rj, DENOMINATOR_OFFSET)
+        assert np.isnan(np.frombuffer(got[0])[0])
+        assert got[2] == 27
+
+    def test_single_border_on_one_side(self):
+        sums = SumMatrix(_r2("random", 20, 4, 0))
+        c = 9
+        for li, rj in (
+            (np.array([3]), np.arange(c + 1, 20)),
+            (np.arange(0, c + 1), np.array([15])),
+            (np.array([c]), np.array([c + 1])),
+        ):
+            assert _in_place(sums, li, c, rj, DENOMINATOR_OFFSET, None) == (
+                _reference(sums, li, c, rj, DENOMINATOR_OFFSET)
+            )
+
+    @given(
+        w=st.integers(4, 30),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_contiguous_borders_take_the_fallback(self, w, seed, data):
+        """Gappy, unsorted or repeated border arrays are scored by
+        omega_split_matrix; the result is the same either way."""
+        c = data.draw(st.integers(0, w - 2))
+        sums = SumMatrix(_r2("sparse", w, seed, c + 1))
+        li = np.array(
+            data.draw(st.lists(st.integers(0, c), min_size=1, max_size=8))
+        )
+        rj = np.array(
+            data.draw(
+                st.lists(st.integers(c + 1, w - 1), min_size=1, max_size=8)
+            )
+        )
+        eps = data.draw(st.sampled_from([DENOMINATOR_OFFSET, 0.0]))
+        assert _in_place(sums, li, c, rj, eps, OmegaWorkspace()) == (
+            _reference(sums, li, c, rj, eps)
+        )
+
+    def test_out_of_range_runs_rejected(self):
+        sums = SumMatrix(_r2("random", 10, 5, 0))
+        with pytest.raises(ScanConfigError):
+            omega_max_at_split(sums, np.arange(0, 5), 4, np.arange(5, 11))
+        with pytest.raises(ScanConfigError):
+            omega_max_at_split(sums, np.arange(0, 6), 4, np.arange(5, 9))

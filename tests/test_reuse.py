@@ -1,11 +1,17 @@
 """Unit tests for the r2 data-reuse cache."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.reuse import R2RegionCache, ReuseStats, simulate_fresh_entries
+from repro.datasets.generators import haplotype_block_alignment
 from repro.errors import ScanConfigError
 from repro.ld.gemm import r_squared_block
+from repro.ld.operands import LDBackendFiller, operands_for
 
 
 class TestReuseStats:
@@ -111,17 +117,17 @@ class TestR2RegionCache:
         with pytest.raises(ScanConfigError):
             R2RegionCache(small_alignment, max_region_bytes=0)
 
-    def test_cached_matrix_not_aliased(self, small_alignment):
-        """Mutating a returned matrix must not corrupt later reuse."""
+    def test_served_matrix_is_read_only(self, small_alignment):
+        """A served matrix is a view of the cache's anchored buffer:
+        writing through it is refused, so it cannot corrupt later reuse."""
         cache = R2RegionCache(small_alignment)
         first = cache.region_matrix(0, 19)
         expected_second = r_squared_block(
             small_alignment, slice(10, 30), slice(10, 30)
         ).copy()
-        # The cache holds a reference to `first`; a *fresh* request reuses
-        # its overlap. Corrupt `first` outside the region the next request
-        # shares — the served overlap must stay intact:
-        first[0, 0] = 123.0
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 123.0
         second = cache.region_matrix(10, 29)
         np.testing.assert_allclose(second, expected_second, atol=1e-12)
 
@@ -181,3 +187,103 @@ class TestDualFreshSegments:
     def test_simulator_dual_fresh_value(self):
         # (20,29) then (10,39): 30^2 minus the relocated 10^2 block.
         assert simulate_fresh_entries([(20, 29), (10, 39)]) == [100, 800]
+
+
+# --------------------------------------------------------------------- #
+# the anchored r² buffer
+# --------------------------------------------------------------------- #
+
+_ANCHOR_ALN = haplotype_block_alignment(24, 90, seed=17)
+
+
+@st.composite
+def _region_walks(draw):
+    """Region sequences mixing forward strides (which outrun the anchor
+    and force in-place re-anchors), backward steps, shrinking and growing
+    widths, and disjoint jumps."""
+    n = _ANCHOR_ALN.n_sites
+    start = draw(st.integers(0, n - 1))
+    width = draw(st.integers(1, 30))
+    regions = []
+    for _ in range(draw(st.integers(1, 25))):
+        stop = min(n - 1, start + width - 1)
+        regions.append((start, stop))
+        move = draw(st.sampled_from(["forward", "backward", "jump", "resize"]))
+        if move == "forward":
+            start += draw(st.integers(1, 8))
+        elif move == "backward":
+            start -= draw(st.integers(1, 8))
+        elif move == "jump":
+            start = draw(st.integers(0, n - 1))
+        else:
+            width = draw(st.integers(1, 30))
+        start = min(max(start, 0), n - 1)
+    return regions
+
+
+class TestAnchoredBuffer:
+    @given(regions=_region_walks())
+    @settings(max_examples=150, deadline=None)
+    def test_property_walks_equal_direct_fill(self, regions):
+        """Every served region is bitwise the direct fill, is read-only,
+        the counters match the pure mirror, and the buffer never exceeds
+        1.25 x the widest region served (plus rounding)."""
+        cache = R2RegionCache(_ANCHOR_ALN)
+        direct = LDBackendFiller(operands_for(_ANCHOR_ALN), "gemm")
+        widest = 0
+        for start, stop in regions:
+            got = cache.region_matrix(start, stop)
+            want = direct(slice(start, stop + 1), slice(start, stop + 1))
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert not got.flags.writeable
+            widest = max(widest, stop - start + 1)
+            assert cache.capacity <= math.ceil(1.25 * widest)
+        fresh = simulate_fresh_entries(regions)
+        assert cache.stats.entries_computed == sum(fresh)
+        total = sum((b - a + 1) ** 2 for a, b in regions)
+        assert cache.stats.entries_reused == total - sum(fresh)
+        assert cache.stats.regions_served == len(regions)
+
+    def test_forward_scan_re_anchors_in_place(self):
+        """A constant-width forward scan keeps serving views of the one
+        buffer its first region allocated, across many re-anchors."""
+        cache = R2RegionCache(_ANCHOR_ALN)
+        first = cache.region_matrix(0, 19)
+        capacity = cache.capacity
+        assert capacity == 25
+        for start in range(1, 71, 3):
+            view = cache.region_matrix(start, start + 19)
+            assert np.shares_memory(view, first)
+            assert cache.capacity == capacity
+            want = r_squared_block(
+                _ANCHOR_ALN, slice(start, start + 20), slice(start, start + 20)
+            )
+            assert view.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_backward_scan_re_anchors_in_place(self):
+        cache = R2RegionCache(_ANCHOR_ALN)
+        first = cache.region_matrix(70, 89)
+        for start in range(67, 0, -3):
+            view = cache.region_matrix(start, start + 19)
+            assert np.shares_memory(view, first)
+            want = r_squared_block(
+                _ANCHOR_ALN, slice(start, start + 20), slice(start, start + 20)
+            )
+            assert view.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_wider_region_grows_the_buffer(self):
+        cache = R2RegionCache(_ANCHOR_ALN)
+        cache.region_matrix(10, 19)
+        assert cache.capacity == math.ceil(1.25 * 10)
+        wide = cache.region_matrix(12, 51)
+        assert cache.capacity == 50
+        want = r_squared_block(_ANCHOR_ALN, slice(12, 52), slice(12, 52))
+        assert wide.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_capacity_respects_the_byte_cap_and_site_count(self):
+        cache = R2RegionCache(_ANCHOR_ALN, max_region_bytes=8 * 21 * 21)
+        cache.region_matrix(0, 19)
+        assert cache.capacity == 21  # not 25: 25 x 25 would break the cap
+        whole = R2RegionCache(_ANCHOR_ALN)
+        whole.region_matrix(0, 89)
+        assert whole.capacity == 90  # never wider than the alignment

@@ -194,3 +194,47 @@ class TestScanResultAPI:
                 right_borders_bp=np.zeros(3),
                 n_evaluations=np.zeros(3, dtype=int),
             )
+
+
+class TestConcurrentScans:
+    def test_threads_each_match_their_solo_run(self):
+        """Scans running on threads at the same time (as the scan service
+        runs requests) each keep their own Eq. 2 workspace and r² buffer:
+        every report is bitwise equal to the same scan run alone. More
+        threads than cores and a short switch interval make interleaving
+        likely."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.datasets.generators import haplotype_block_alignment
+
+        alignments = [
+            haplotype_block_alignment(40, 500, seed=11),
+            random_alignment(30, 420, seed=12),
+            haplotype_block_alignment(24, 360, seed=13),
+            random_alignment(20, 300, seed=14),
+        ]
+
+        def run(aln):
+            result = scan(aln, grid_size=40, max_window=aln.length / 3)
+            return b"".join(
+                np.ascontiguousarray(a).tobytes()
+                for a in (
+                    result.positions,
+                    result.omegas,
+                    result.left_borders_bp,
+                    result.right_borders_bp,
+                    result.n_evaluations,
+                )
+            )
+
+        solo = [run(aln) for aln in alignments]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(alignments)) as pool:
+                for _ in range(2):
+                    together = list(pool.map(run, alignments, timeout=120))
+                    assert together == solo
+        finally:
+            sys.setswitchinterval(interval)

@@ -775,20 +775,28 @@ class TestFaultInjection:
         def assassin():
             # Wait for the victim worker to park at the hold point, read
             # its pid from the on-disk ledger (written at spawn), and
-            # SIGKILL it — exactly what the OOM killer would do.
+            # SIGKILL it — exactly what the OOM killer would do. The pid
+            # is saved just after the fork, so a fast worker can park
+            # before it lands: keep polling the ledger until the deadline.
             deadline = time.monotonic() + 60
-            while not ack.exists():
-                if time.monotonic() > deadline:
-                    failure.append("worker never reached the hold point")
-                    hold.unlink(missing_ok=True)
-                    return
-                time.sleep(0.01)
-            pid = Manifest.load(manifest_path).shard(victim).pid
-            if pid is None:
-                failure.append("ledger holds no pid for the held shard")
-            else:
-                os.kill(pid, signal.SIGKILL)
-            hold.unlink(missing_ok=True)
+            try:
+                while not ack.exists():
+                    if time.monotonic() > deadline:
+                        failure.append("worker never reached the hold point")
+                        return
+                    time.sleep(0.01)
+                pid = Manifest.load(manifest_path).shard(victim).pid
+                while pid is None and time.monotonic() <= deadline:
+                    time.sleep(0.01)
+                    pid = Manifest.load(manifest_path).shard(victim).pid
+                if pid is None:
+                    failure.append("ledger holds no pid for the held shard")
+                else:
+                    os.kill(pid, signal.SIGKILL)
+            except Exception as exc:
+                failure.append(f"assassin failed: {exc!r}")
+            finally:
+                hold.unlink(missing_ok=True)
 
         killer = threading.Thread(target=assassin)
         killer.start()
