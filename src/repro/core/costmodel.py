@@ -177,7 +177,7 @@ class ScanCostModel:
     ) -> float:
         """Predicted wall time of filling one (n_rows x n_cols) r² tile.
 
-        ``backend`` is ``"gemm"`` (BLAS over float64 columns, cost linear
+        ``backend`` is ``"gemm"`` (BLAS over 0/1 columns, cost linear
         in cells x samples) or ``"packed"`` (blocked popcount, cost linear
         in cells x words plus a fixed per-word-pass overhead).
         """
@@ -380,9 +380,11 @@ def calibrate_ld_crossover(
 ) -> ScanCostModel:
     """Measure the LD backend crossover constants on this machine.
 
-    Times the raw co-occurrence primitives of both formulations (a float64
-    GEMM and the blocked popcount — the shared ``r_squared_from_counts``
-    tail costs the same either way, so it cancels out of the pick) on
+    Times the raw co-occurrence primitives of both formulations (a GEMM
+    over the operand dtype the filler uses at ``n_samples``,
+    :func:`~repro.ld.gemm.gemm_dtype`, and the blocked popcount — the
+    shared r² tail costs the same either way, so it cancels out of the
+    pick) on
     synthetic operands at two tile sizes, then solves each backend's
     two-parameter linear cost model exactly from the two points. The
     whole microbenchmark is a few milliseconds; with ``publish=True``
@@ -390,6 +392,7 @@ def calibrate_ld_crossover(
     calibration lock.
     """
     global _cached
+    from repro.ld.gemm import gemm_dtype
     from repro.ld.packed_kernels import cooccurrence_block_packed
 
     n = max(1, int(n_samples))
@@ -404,7 +407,7 @@ def calibrate_ld_crossover(
     # contiguous microbenchmark is systematically gemm-optimistic) and
     # the packed rows/cols are contiguous row slices of a (sites, w)
     # word plane, with rows != cols as in an off-diagonal tile.
-    a = rng.integers(0, 2, size=(n, 2 * t_big)).astype(np.float64)
+    a = rng.integers(0, 2, size=(n, 2 * t_big)).astype(gemm_dtype(n))
     words = rng.integers(
         0, np.iinfo(np.uint64).max, size=(2 * t_big, w), dtype=np.uint64
     )

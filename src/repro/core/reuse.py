@@ -12,7 +12,12 @@ the same idea at *two* levels:
   block stay in place in one anchored buffer, only the new rows and
   columns are computed, and each region is served as a read-only view
   that is valid until the next :meth:`~R2RegionCache.region_matrix`
-  call.
+  call. The new rows are computed *ahead*: a forward move that passes
+  the buffer's valid square fills every row up to
+  ``min(horizon, anchor + capacity)`` in a few wide slabs instead of one
+  thin fringe per position, where ``horizon`` is the exclusive site
+  bound the block source can serve (``n_sites`` in memory, the resident
+  chunk's end in a streamed scan).
 * :class:`SumMatrixCache` — reuse of the window-sum DP structure
   (:class:`~repro.core.dp.SumMatrix`, Eq. 3). The prefix-sum block built
   for the previous region is *relocated* (served as an offset view — every
@@ -23,11 +28,18 @@ the same idea at *two* levels:
 
 Both caches keep reuse statistics in one :class:`ReuseStats` so the
 benefit is measurable (``tests/test_reuse.py`` asserts the saving; the
-ablation benchmarks report it).
+ablation benchmarks report it). Its r² counters keep the paper's
+*served-region* meaning — W² − V² fresh entries for a region of width W
+overlapping the previous one in V sites, as :func:`simulate_fresh_entries`
+computes and the modelled GPU/FPGA engines charge — not the entries the
+host physically filled: filling ahead computes about 10–20 % more
+physical entries (the ``tile_fill`` entries of a trace) in about a tenth
+of the calls.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -145,12 +157,32 @@ class R2RegionCache:
 
     The cache owns one square buffer whose cell ``[i, j]`` holds r² of
     global sites ``anchor + i`` and ``anchor + j``, with side at most
-    :attr:`CAPACITY_FACTOR` times the widest region served. A region
-    that fits at the anchor is served as a read-only view with only its
-    fresh fringe written; one that does not re-anchors in place (the
-    overlap is shifted within the buffer), so a scan holds one r²
-    buffer, never a copy per position. A served view is valid until the
-    next :meth:`region_matrix` call; copy it to keep it longer.
+    :attr:`CAPACITY_FACTOR` times the widest region served. Of that
+    buffer, the *valid square* ``[v_lo, v_hi]`` holds computed r². A
+    region inside it is served as a read-only view with nothing computed.
+    A forward move that passes its edge **fills ahead**: every row from
+    the old edge to ``min(horizon, anchor + capacity)`` is computed in
+    one go, against columns from the region start, so the next several
+    grid positions find their rows already in place. Backward and
+    disjoint moves compute exactly their region's fresh fringe. A region
+    that does not fit at the anchor re-anchors in place (the kept square
+    is shifted within the buffer), so a scan holds one r² buffer, never
+    a copy per position. A served view is valid until the next
+    :meth:`region_matrix` call; copy it to keep it longer.
+
+    Fresh rows are filled in slabs of at most :attr:`FILL_SLAB_ROWS`
+    rows, each against only the columns up to its own last row (the
+    rest of the square is the slab's mirror image), and a block source
+    that takes an ``out`` keyword writes each slab's r² straight into
+    the buffer.
+
+    ``stats`` counts *served-region* entries, as the paper's reuse model
+    does: a region's entries outside its overlap with the previous
+    region are ``entries_computed`` and the overlap ``entries_reused``,
+    regardless of what was physically filled ahead
+    (:func:`simulate_fresh_entries` mirrors these counts, and the
+    modelled GPU/FPGA engines charge device time from them). The
+    physical fills are the calls into the block source.
 
     Parameters
     ----------
@@ -165,15 +197,24 @@ class R2RegionCache:
     block_fn:
         Optional override for the fresh-block source: a callable
         ``(rows, cols) -> ndarray`` with :func:`~repro.ld.gemm.
-        r_squared_block` semantics. The multiprocess scanner injects a
-        shared-memory tile store here so fresh entries one worker
-        computes are served to every other worker; ``backend`` is ignored
-        when set.
+        r_squared_block` semantics; when it also takes an ``out``
+        keyword, blocks are written into the buffer through it. The
+        multiprocess scanner injects a shared-memory tile store here so
+        fresh entries one worker computes are served to every other
+        worker; ``backend`` is ignored when set.
     n_sites:
         Global site count when ``alignment`` is ``None`` — the streaming
         scanner addresses regions in global coordinates while only the
         current chunk is materialized, so it supplies a chunk-dispatching
         ``block_fn`` plus the global bound instead of an alignment.
+
+    Attributes
+    ----------
+    horizon:
+        Exclusive bound on the sites the block source can serve; fills
+        never reach past it. ``n_sites`` by default; the streaming
+        scanner sets it to the resident chunk's end each time a chunk
+        loads.
     """
 
     #: Default cap on one region's r² matrix (512 MB of float64): wide
@@ -183,8 +224,11 @@ class R2RegionCache:
     DEFAULT_MAX_REGION_BYTES = 512 * 1024 * 1024
     #: Side of the anchored buffer relative to the region width that
     #: (re)allocates it: the slack lets the grid advance that far before
-    #: an in-place re-anchor.
+    #: an in-place re-anchor, and is what a forward move fills ahead.
     CAPACITY_FACTOR = 1.25
+    #: Rows per fill call: wide enough for a BLAS-3-shaped GEMM, small
+    #: enough that a slab's two temporaries stay far below the buffer.
+    FILL_SLAB_ROWS = 64
 
     def __init__(
         self,
@@ -216,8 +260,8 @@ class R2RegionCache:
             self._block = block_fn
         elif backend in ("gemm", "packed", "auto"):
             # All backends flow through the per-alignment operand-plane
-            # cache: the float64 plane / packed words are materialized
-            # once per alignment, and "auto" picks per block from the
+            # cache: the GEMM plane / packed words are materialized once
+            # per alignment, and "auto" picks per block from the
             # calibrated cost-model crossover.
             self._block: Callable[[slice, slice], np.ndarray] = (
                 LDBackendFiller(operands_for(alignment), backend)
@@ -227,8 +271,13 @@ class R2RegionCache:
                 f"unknown LD backend {backend!r}; use 'gemm', 'packed' "
                 f"or 'auto'"
             )
+        self._fills_into = _takes_out(self._block)
+        self.horizon = self._n_sites
         self._prev_start: Optional[int] = None
         self._prev_stop: Optional[int] = None
+        #: The valid square ``[v_lo, v_hi]`` (global sites) of the buffer.
+        self._v_lo: Optional[int] = None
+        self._v_hi = -1
         #: The anchored r² buffer: cell ``[i, j]`` holds r² of global
         #: sites ``anchor + i`` and ``anchor + j``.
         self._buf: Optional[np.ndarray] = None
@@ -244,14 +293,18 @@ class R2RegionCache:
         """r² matrix for global sites ``[start .. stop]`` (inclusive).
 
         Returns a read-only view of the anchored buffer, valid until the
-        next call on this cache. When the request overlaps the previously
-        served region, the overlap is already in place and only the rows
-        and columns of newly entered SNPs are computed.
+        next call on this cache. Entries already in the valid square are
+        not computed again; see the class docstring for what is filled.
         """
         n = self._n_sites
         if not (0 <= start <= stop < n):
             raise ScanConfigError(
                 f"region [{start}, {stop}] out of bounds for {n} sites"
+            )
+        if stop >= self.horizon:
+            raise ScanConfigError(
+                f"region [{start}, {stop}] reaches past the block source's "
+                f"horizon ({self.horizon} sites)"
             )
         width = stop - start + 1
         needed = 8 * width * width
@@ -261,68 +314,87 @@ class R2RegionCache:
                 f"matrix (cap {self._max_region_bytes / 1e6:.0f} MB); "
                 f"reduce max_window or raise max_region_bytes"
             )
-        prev_ok = self._prev_start is not None and (
-            max(start, self._prev_start)
-            <= min(stop, self._prev_stop)  # type: ignore[type-var]
-        )
-        if not prev_ok:
-            self._place(start, stop, None)
-            out = self._view(start, width)
-            out[:] = self._block(slice(start, stop + 1), slice(start, stop + 1))
-            self.stats.entries_computed += width * width
-        else:
-            o_lo = max(start, self._prev_start)  # type: ignore[arg-type]
-            o_hi = min(stop, self._prev_stop)  # type: ignore[type-var]
-            self._place(start, stop, (o_lo, o_hi))
-            out = self._view(start, width)
-            # Local coordinates of the overlap in the new region.
-            new_a, new_b = o_lo - start, o_hi - start
-            self.stats.entries_reused += (new_b - new_a + 1) ** 2
-
-            # New sites enter on either side of the overlap; a forward scan
-            # only adds on the right, but both are handled for generality.
-            # The left block spans every column; once it is in place
-            # (including its transpose), the right block only needs the
-            # columns it does not already cover — otherwise the
-            # left-fresh x right-fresh cross block would be computed twice
-            # and entries_computed would over-count it.
-            if new_a > 0:
-                rows = self._block(
-                    slice(start, start + new_a), slice(start, stop + 1)
-                )  # (new_a, width)
-                out[:new_a, :] = rows
-                out[:, :new_a] = rows.T
-                self.stats.entries_computed += 2 * rows.size - new_a**2
-            if new_b < width - 1:
-                lo = new_b + 1
-                seg = width - lo
-                rows = self._block(
-                    slice(start + lo, stop + 1),
-                    slice(start + new_a, stop + 1),
-                )  # (seg, width - new_a)
-                out[lo:, new_a:] = rows
-                out[new_a:, lo:] = rows.T
-                self.stats.entries_computed += 2 * rows.size - seg**2
+        overlap = 0
+        if self._prev_start is not None:
+            overlap = max(
+                0,
+                min(stop, self._prev_stop)  # type: ignore[type-var]
+                - max(start, self._prev_start)
+                + 1,
+            )
+        self.stats.entries_reused += overlap * overlap
+        self.stats.entries_computed += width * width - overlap * overlap
+        self._fill(start, stop)
         self.stats.regions_served += 1
         self._prev_start, self._prev_stop = start, stop
-        served = out.view()
+        lo = start - self._anchor
+        served = self._buf[lo : lo + width, lo : lo + width]  # type: ignore[index]
         served.flags.writeable = False
         return served
 
-    def _view(self, start: int, width: int) -> np.ndarray:
-        lo = start - self._anchor
-        return self._buf[lo : lo + width, lo : lo + width]  # type: ignore[index]
+    def _fill(self, start: int, stop: int) -> None:
+        """Make ``[start, stop]`` part of the valid square."""
+        v_lo, v_hi = self._v_lo, self._v_hi
+        if v_lo is None or max(start, v_lo) > min(stop, v_hi):
+            # First or disjoint region: exactly its own square.
+            self._place(start, stop, None)
+            self._grow(start, start - 1, start, stop)
+            self._v_lo, self._v_hi = start, stop
+        elif start >= v_lo:
+            if stop <= v_hi:
+                return  # already in place
+            # Forward: fill ahead to the edge of the buffer.
+            self._place(start, stop, (start, v_hi))
+            edge = min(self.horizon, self._anchor + self.capacity)
+            self._grow(start, v_hi, start, edge - 1)
+            self._v_lo, self._v_hi = start, edge - 1
+        else:
+            # Backward: exactly the fringes around the overlap.
+            o_hi = min(stop, v_hi)
+            self._place(start, stop, (v_lo, o_hi))
+            self._grow(v_lo, o_hi, start, stop)
+            self._v_lo, self._v_hi = start, stop
+
+    def _grow(self, lo: int, hi: int, new_lo: int, new_hi: int) -> None:
+        """Extend the valid square ``[lo, hi]`` (empty when ``hi < lo``)
+        to ``[new_lo, new_hi]`` in slabs of rows: right of it, each slab
+        against the columns from ``lo`` to its own last row; left of it,
+        each against the columns from its own first row to ``new_hi``
+        (walking away from the square, so every cell a slab skips is
+        already valid or written by a later slab's mirror)."""
+        step = self.FILL_SLAB_ROWS
+        for r0 in range(hi + 1, new_hi + 1, step):
+            r1 = min(r0 + step, new_hi + 1)
+            self._fill_rows(r0, r1, lo, r1)
+        for r1 in range(lo, new_lo, -step):
+            r0 = max(r1 - step, new_lo)
+            self._fill_rows(r0, r1, r0, new_hi + 1)
+
+    def _fill_rows(self, r0: int, r1: int, c0: int, c1: int) -> None:
+        """Fill rows ``[r0, r1)`` x columns ``[c0, c1)`` (rows inside the
+        columns) and mirror the columns outside the rows across the
+        diagonal; the rows x rows square is symmetric on its own."""
+        a = self._anchor
+        buf = self._buf
+        dst = buf[r0 - a : r1 - a, c0 - a : c1 - a]  # type: ignore[index]
+        rows, cols = slice(r0, r1), slice(c0, c1)
+        if self._fills_into:
+            self._block(rows, cols, out=dst)  # type: ignore[call-arg]
+        else:
+            dst[...] = self._block(rows, cols)
+        buf[c0 - a : r0 - a, r0 - a : r1 - a] = dst[:, : r0 - c0].T  # type: ignore[index]
+        buf[r1 - a : c1 - a, r0 - a : r1 - a] = dst[:, r1 - c0 :].T  # type: ignore[index]
 
     def _place(self, start: int, stop: int, keep) -> None:
         """Make ``[start, stop]`` addressable in the buffer, moving the
-        overlap square ``keep = (lo, hi)`` (global sites) along with the
+        valid square ``keep = (lo, hi)`` (global sites) along with the
         anchor.
 
         A region that fits at the current anchor changes nothing. One
         that does not, but fits the capacity, re-anchors *in place*: the
-        overlap is shifted row block by row block, so no second buffer
-        exists even transiently. Only a region wider than the capacity
-        allocates (``CAPACITY_FACTOR`` x its width).
+        kept square is shifted row block by row block, so no second
+        buffer exists even transiently. Only a region wider than the
+        capacity allocates (``CAPACITY_FACTOR`` x its width).
         """
         cap = self.capacity
         width = stop - start + 1
@@ -360,9 +432,18 @@ class R2RegionCache:
         self._buf, self._anchor = buf, start
 
     def reset(self) -> None:
-        """Forget the cached region (e.g. when jumping to a new
-        chromosome); the buffer is kept for the next region."""
+        """Forget the served and computed regions (e.g. when jumping to a
+        new chromosome); the buffer is kept for the next region."""
         self._prev_start = self._prev_stop = None
+        self._v_lo, self._v_hi = None, -1
+
+
+def _takes_out(fn) -> bool:
+    """Whether a block source accepts an ``out`` keyword."""
+    try:
+        return "out" in inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return False
 
 
 def _shift_square(buf: np.ndarray, src: int, dst: int, n: int) -> None:

@@ -587,14 +587,15 @@ def _iter_stream_sequential(
 
     # Fresh r² blocks are requested in global coordinates but computed
     # from the currently resident chunk; the chunk always covers the open
-    # group's site range, so the translation below never misses.
+    # group's site range, and the cache's horizon stops its fills at the
+    # chunk's end, so the translation below never misses.
     holder: dict = {}
 
-    def block_fn(rows: slice, cols: slice) -> np.ndarray:
+    def block_fn(rows: slice, cols: slice, out=None) -> np.ndarray:
         lo = holder["lo"]
         r = slice(rows.start - lo, rows.stop - lo)
         c = slice(cols.start - lo, cols.stop - lo)
-        return holder["filler"](r, c)
+        return holder["filler"](r, c, out=out)
 
     def gen() -> Iterator[ScanResult]:
         cache = R2RegionCache(
@@ -631,6 +632,7 @@ def _iter_stream_sequential(
                             plan_lo=plan_lo, plan_hi=plan_hi,
                         )
                         holder["lo"] = site_lo
+                        cache.horizon = site_hi
                         # One operand-plane cache (and backend filler)
                         # per chunk; dead chunks drop their planes with
                         # the chunk object itself.

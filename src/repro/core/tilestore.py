@@ -14,7 +14,7 @@ memory by the parent:
 * a tile is computed by whichever process first needs it and published
   under a per-tile ready flag; afterwards every process serves it with a
   plain copy. Because both LD backends are deterministic (co-occurrence
-  counts are exact integers in float64, so every summation order agrees
+  counts are exact integers, so every summation order agrees
   bit-for-bit), two workers racing on the same tile write identical
   bytes — the flag is set only after the data, so a reader never sees a
   half-filled tile as ready;

@@ -17,10 +17,16 @@ picker the production tile fills are built on.
 
 from repro.ld.correlation import (
     r_squared_from_counts,
+    r_squared_from_site_counts,
     r_squared_pair,
     r_squared_pairs,
 )
-from repro.ld.gemm import cooccurrence_gemm, r_squared_block, r_squared_matrix
+from repro.ld.gemm import (
+    cooccurrence_gemm,
+    gemm_dtype,
+    r_squared_block,
+    r_squared_matrix,
+)
 from repro.ld.operands import (
     LD_BACKENDS,
     LDBackendFiller,
@@ -46,7 +52,9 @@ __all__ = [
     "r_squared_pair",
     "r_squared_pairs",
     "r_squared_from_counts",
+    "r_squared_from_site_counts",
     "cooccurrence_gemm",
+    "gemm_dtype",
     "r_squared_matrix",
     "r_squared_block",
     "r_squared_pairs_packed",

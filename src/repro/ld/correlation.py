@@ -17,12 +17,19 @@ the caller asks for strict behaviour.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.datasets.alignment import SNPAlignment
 from repro.errors import LDError
 
-__all__ = ["r_squared_pair", "r_squared_pairs", "r_squared_from_counts"]
+__all__ = [
+    "r_squared_pair",
+    "r_squared_pairs",
+    "r_squared_from_counts",
+    "r_squared_from_site_counts",
+]
 
 
 def r_squared_from_counts(
@@ -74,6 +81,58 @@ def r_squared_from_counts(
         r2 = np.where(bad, 0.0, (num * num) / np.where(bad, 1.0, denom))
     # Guard against float round-off pushing r2 infinitesimally above 1.
     return np.clip(r2, 0.0, 1.0)
+
+
+def r_squared_from_site_counts(
+    n11: np.ndarray,
+    c_rows: np.ndarray,
+    c_cols: np.ndarray,
+    n_samples: int,
+    *,
+    strict: bool = False,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """r² of a rectangular block from its (R, C) co-occurrence counts and
+    the per-site derived counts of its R rows and C columns.
+
+    Bitwise equal to :func:`r_squared_from_counts` on the broadcast
+    counts: every cell goes through the same operations in the same
+    order, but the per-site factors ``p`` and ``p(1 − p)`` are formed
+    once per row and column as vectors, and the block is written into
+    ``out`` (any float64 (R, C) array, e.g. a strided view of a larger
+    buffer) with one (R, C) float64 temporary. A monomorphic site makes
+    ``p(1 − p)`` exactly 0 and a product of two positive factors never
+    underflows at these magnitudes, so the cells with a zero denominator
+    are exactly the rows and columns of monomorphic sites.
+    """
+    if n_samples <= 0:
+        raise LDError(f"n_samples must be positive, got {n_samples}")
+    n = float(n_samples)
+    p_i = np.asarray(c_rows, dtype=np.float64) / n
+    p_j = np.asarray(c_cols, dtype=np.float64) / n
+    q_i = p_i * (1.0 - p_i)
+    q_j = p_j * (1.0 - p_j)
+    bad_i = q_i <= 0.0
+    bad_j = q_j <= 0.0
+    if strict and n11.size and (bad_i.any() or bad_j.any()):
+        raise LDError("r-squared undefined for monomorphic site(s)")
+    if out is None:
+        out = np.empty(n11.shape)
+    # out = p_ij, then num = p_ij - p_i p_j, then num * num ...
+    np.divide(n11, n, out=out, dtype=np.float64)
+    tmp = np.multiply(p_i[:, None], p_j[None, :])
+    np.subtract(out, tmp, out=out)
+    np.multiply(out, out, out=out)
+    # ... divided by the denominator, with 1 standing in where it is 0.
+    np.multiply(
+        np.where(bad_i, 1.0, q_i)[:, None],
+        np.where(bad_j, 1.0, q_j)[None, :],
+        out=tmp,
+    )
+    np.divide(out, tmp, out=out)
+    out[bad_i, :] = 0.0
+    out[:, bad_j] = 0.0
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def r_squared_pair(alignment: SNPAlignment, i: int, j: int) -> float:

@@ -13,6 +13,14 @@ stage. In NumPy the analogue of the vendor GEMM is ``A.T @ A`` dispatched
 to BLAS — this module is therefore both the fastest host implementation
 and the functional model of the GPU LD path.
 
+Exactness: the operands are 0/1, so every partial sum of a dot product
+is an integer no larger than n_samples. Below 2²⁴ samples every such
+integer is exact in float32, so :func:`gemm_dtype` picks float32 there —
+half the operand bytes and a faster GEMM — and the counts it yields
+convert to float64 bit for bit as a float64 GEMM's would, whatever the
+BLAS's summation order. From 2²⁴ samples on the operands are float64
+(exact up to 2⁵³).
+
 Memory note: the full matrix is O(sites²) float64. For the window sizes
 OmegaPlus feeds it (a few thousand SNPs per region) that is tens of MB;
 whole-chromosome all-pairs use :mod:`repro.ld.tiled` instead.
@@ -26,9 +34,27 @@ import numpy as np
 
 from repro.datasets.alignment import SNPAlignment
 from repro.errors import LDError
-from repro.ld.correlation import r_squared_from_counts
+from repro.ld.correlation import r_squared_from_site_counts
 
-__all__ = ["cooccurrence_gemm", "r_squared_matrix", "r_squared_block"]
+__all__ = [
+    "cooccurrence_gemm",
+    "gemm_dtype",
+    "r_squared_matrix",
+    "r_squared_block",
+]
+
+#: Sample counts below this bound use float32 GEMM operands: every
+#: integer up to 2²⁴ is exact in float32.
+FLOAT32_EXACT_SAMPLES = 1 << 24
+
+
+def gemm_dtype(n_samples: int) -> np.dtype:
+    """Operand dtype of every LD GEMM over ``n_samples`` samples: float32
+    while each co-occurrence count (at most ``n_samples``) is exact in
+    it, float64 from 2²⁴ samples on."""
+    if n_samples < FLOAT32_EXACT_SAMPLES:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
 
 
 def _device_gemm(a: np.ndarray, b: np.ndarray, backend) -> np.ndarray:
@@ -63,18 +89,18 @@ def cooccurrence_gemm(
 ) -> np.ndarray:
     """Return the (sites x sites) co-occurrence count matrix AᵀA.
 
-    Uses a float64 GEMM (BLAS, or the array ``backend``'s device GEMM —
-    see :mod:`repro.accel.backend`) and rounds back to integers: counts
-    are bounded by n_samples, far below 2⁵³, so the round-trip is exact
-    either way. ``operands`` accepts an
-    :class:`~repro.ld.operands.LDOperands` cache whose float64 plane is
-    reused instead of converting the matrix per call.
+    Uses a GEMM over :func:`gemm_dtype` operands (BLAS, or the array
+    ``backend``'s device GEMM — see :mod:`repro.accel.backend`) and
+    rounds back to integers: counts are bounded by n_samples, which that
+    dtype represents exactly, so the round-trip is exact either way.
+    ``operands`` accepts an :class:`~repro.ld.operands.LDOperands` cache
+    whose GEMM plane is reused instead of converting the matrix per call.
     """
     backend = _resolve(backend)
     if operands is not None:
         a = operands.gemm_columns(0, alignment.n_sites)
     else:
-        a = alignment.matrix.astype(np.float64)
+        a = alignment.matrix.astype(gemm_dtype(alignment.n_samples))
     return np.rint(_device_gemm(a.T, a, backend)).astype(np.int64)
 
 
@@ -97,10 +123,8 @@ def r_squared_matrix(
         if operands is not None
         else alignment.derived_counts()
     )
-    c_i = np.broadcast_to(counts[:, None], n11.shape)
-    c_j = np.broadcast_to(counts[None, :], n11.shape)
-    return r_squared_from_counts(
-        n11, c_i, c_j, alignment.n_samples, strict=strict
+    return r_squared_from_site_counts(
+        n11, counts, counts, alignment.n_samples, strict=strict
     )
 
 
@@ -112,17 +136,20 @@ def r_squared_block(
     strict: bool = False,
     backend: Union[str, None, object] = None,
     operands=None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """r² for the rectangular block ``rows x cols`` of the pair matrix.
 
     This is the primitive the tiled large-dataset driver composes; it is
     also how the GEMM engine serves OmegaPlus, which only ever needs the
     pairs inside the current grid-position window rather than the whole
-    matrix. Only the requested columns are converted to float64 (slice
-    first, then ``astype``); pass ``operands``
+    matrix. Only the requested columns are converted to
+    :func:`gemm_dtype` (slice first, then ``astype``); pass ``operands``
     (:class:`~repro.ld.operands.LDOperands`) to serve the conversion from
     the per-alignment cached plane instead; ``alignment`` may then be
-    ``None``, since the operands carry the shape.
+    ``None``, since the operands carry the shape. With ``out`` (a float64
+    array of the block's shape, e.g. a view of a larger buffer) the r²
+    is written there and ``out`` is returned.
     """
     shape = operands if operands is not None else alignment
     n_sites = shape.n_sites
@@ -136,12 +163,12 @@ def r_squared_block(
         a_cols = operands.gemm_columns(c0, c1)
         counts = operands.derived_counts()
     else:
-        a_rows = alignment.matrix[:, r0:r1].astype(np.float64)
-        a_cols = alignment.matrix[:, c0:c1].astype(np.float64)
+        dtype = gemm_dtype(alignment.n_samples)
+        a_rows = alignment.matrix[:, r0:r1].astype(dtype)
+        a_cols = alignment.matrix[:, c0:c1].astype(dtype)
         counts = alignment.derived_counts()
     n11 = _device_gemm(a_rows.T, a_cols, backend)
-    c_i = np.broadcast_to(counts[r0:r1, None], n11.shape)
-    c_j = np.broadcast_to(counts[None, c0:c1], n11.shape)
-    return r_squared_from_counts(
-        n11, c_i, c_j, shape.n_samples, strict=strict
+    return r_squared_from_site_counts(
+        n11, counts[r0:r1], counts[c0:c1], shape.n_samples,
+        strict=strict, out=out,
     )

@@ -2,8 +2,14 @@
 
 Every LD backend consumes a derived *operand plane* of the alignment:
 
-* the GEMM formulation multiplies float64 columns (``Aᵀ A``), and
+* the GEMM formulation multiplies 0/1 float columns (``Aᵀ A``), and
 * the popcount formulation ANDs bit-packed 64-bit word rows.
+
+The GEMM plane is float32 below 2²⁴ samples and float64 from there on
+(:func:`~repro.ld.gemm.gemm_dtype`): every partial sum of a 0/1 dot
+product is an integer no larger than the sample count, so below that
+bound the float32 counts are exact and convert to the float64 counts bit
+for bit, at half the plane's bytes.
 
 Before this module each consumer derived its plane ad hoc — worst of all
 ``r_squared_block`` converting the *entire* (samples x sites) matrix to
@@ -38,6 +44,7 @@ import repro.obs as obs
 from repro.datasets.alignment import SNPAlignment
 from repro.datasets.packed import PackedAlignment
 from repro.errors import LDError
+from repro.ld.gemm import gemm_dtype, r_squared_block
 
 __all__ = ["LDOperands", "LDBackendFiller", "operands_for", "LD_BACKENDS"]
 
@@ -45,7 +52,7 @@ __all__ = ["LDOperands", "LDBackendFiller", "operands_for", "LD_BACKENDS"]
 #: that forwards a backend name here: config, tile store, CLI).
 LD_BACKENDS = ("gemm", "packed", "auto")
 
-#: Refuse to cache a float64 GEMM plane larger than this (2 GB). Above the
+#: Refuse to cache a GEMM plane larger than this (2 GB). Above the
 #: cap :meth:`LDOperands.gemm_columns` converts each requested column
 #: slice on demand (slice first, then convert — still never the full
 #: matrix), trading repeated conversion for bounded residency.
@@ -65,7 +72,7 @@ class LDOperands:
         process published). When omitted, the plane is packed locally on
         first use.
     max_gemm_plane_bytes:
-        Cap on the cached float64 GEMM plane; see
+        Cap on the cached GEMM plane's bytes; see
         :data:`DEFAULT_MAX_GEMM_PLANE_BYTES`.
 
     The instance keeps the alignment's arrays and only a *weak*
@@ -114,24 +121,26 @@ class LDOperands:
     # plane accessors
 
     def gemm_plane(self) -> Optional[np.ndarray]:
-        """The cached float64 (samples x sites) GEMM operand, or ``None``
-        when it would exceed the plane cap (callers fall back to per-slice
-        conversion via :meth:`gemm_columns`)."""
+        """The cached (samples x sites) GEMM operand in
+        :func:`~repro.ld.gemm.gemm_dtype`, or ``None`` when it would
+        exceed the plane cap (callers fall back to per-slice conversion
+        via :meth:`gemm_columns`)."""
         if self._gemm is None:
-            needed = 8 * self.n_samples * self.n_sites
+            dtype = gemm_dtype(self.n_samples)
+            needed = dtype.itemsize * self.n_samples * self.n_sites
             if needed > self._max_gemm_plane_bytes:
                 return None
-            self._gemm = self._matrix.astype(np.float64)
+            self._gemm = self._matrix.astype(dtype)
         return self._gemm
 
     def gemm_columns(self, lo: int, hi: int) -> np.ndarray:
-        """float64 operand for site columns ``[lo, hi)`` — a view of the
+        """GEMM operand for site columns ``[lo, hi)`` — a view of the
         cached plane, or a fresh slice-first conversion above the cap
         (never a full-matrix ``astype``)."""
         plane = self.gemm_plane()
         if plane is not None:
             return plane[:, lo:hi]
-        return self._matrix[:, lo:hi].astype(np.float64)
+        return self._matrix[:, lo:hi].astype(gemm_dtype(self.n_samples))
 
     def packed(self) -> PackedAlignment:
         """The bit-packed word plane, packed once on first use (or the
@@ -248,9 +257,12 @@ class LDBackendFiller:
         cols: slice,
         *,
         backend: Optional[str] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """r² for the block ``rows x cols``; ``backend`` (from a prior
-        :meth:`pick`) skips re-deciding."""
+        :meth:`pick`) skips re-deciding. With ``out`` (a float64 array of
+        the block's shape, e.g. a view of the region cache's buffer) the
+        block is written there and ``out`` is returned."""
         ops = self.operands
         n_sites = ops.n_sites
         r0, r1, rstep = rows.indices(n_sites)
@@ -266,8 +278,6 @@ class LDBackendFiller:
             from repro.ld.packed_kernels import r_squared_block_packed
 
             return r_squared_block_packed(
-                ops.packed(), rows, cols, counts=ops.derived_counts()
+                ops.packed(), rows, cols, counts=ops.derived_counts(), out=out
             )
-        from repro.ld.gemm import r_squared_block
-
-        return r_squared_block(None, rows, cols, operands=ops)
+        return r_squared_block(None, rows, cols, operands=ops, out=out)

@@ -26,7 +26,10 @@ import numpy as np
 
 from repro.datasets.packed import PackedAlignment
 from repro.errors import LDError
-from repro.ld.correlation import r_squared_from_counts
+from repro.ld.correlation import (
+    r_squared_from_counts,
+    r_squared_from_site_counts,
+)
 from repro.utils.bitops import HAVE_BITWISE_COUNT, popcount64, popcount64_swar
 
 __all__ = [
@@ -133,27 +136,23 @@ def r_squared_block_packed(
     *,
     strict: bool = False,
     counts: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """r² for a rectangular block of the pair matrix on packed data.
 
     Uses the blocked word-accumulating schedule of
     :func:`cooccurrence_block_packed` (O(R·C) extra memory). ``counts``
     accepts precomputed per-site derived counts (the operand cache path)
-    to skip the per-call popcount of the whole plane.
+    to skip the per-call popcount of the whole plane; ``out`` receives
+    the block as in :func:`~repro.ld.gemm.r_squared_block`.
     """
     r0, r1, c0, c1 = _block_slices(packed, rows, cols)
-    # Straight to float64 (exact: counts <= n_samples << 2**53) so the
-    # shared r² tail sees the same dtype as the GEMM path and skips an
-    # extra integer-conversion pass over the tile.
-    n11 = cooccurrence_block_packed(
-        packed.words[r0:r1], packed.words[c0:c1]
-    ).astype(np.float64)
+    n11 = cooccurrence_block_packed(packed.words[r0:r1], packed.words[c0:c1])
     if counts is None:
         counts = packed.derived_counts()
-    c_i = np.broadcast_to(counts[r0:r1, None], n11.shape)
-    c_j = np.broadcast_to(counts[None, c0:c1], n11.shape)
-    return r_squared_from_counts(
-        n11, c_i, c_j, packed.n_samples, strict=strict
+    return r_squared_from_site_counts(
+        n11, counts[r0:r1], counts[c0:c1], packed.n_samples,
+        strict=strict, out=out,
     )
 
 

@@ -9,6 +9,7 @@ from repro.datasets.generators import random_alignment
 from repro.errors import LDError
 from repro.ld.correlation import (
     r_squared_from_counts,
+    r_squared_from_site_counts,
     r_squared_pair,
     r_squared_pairs,
 )
@@ -126,3 +127,62 @@ class TestRSquaredPairs:
                 continue
             expected = reference_r2(m[:, i[k]], m[:, j[k]])
             assert got[k] == pytest.approx(expected, abs=1e-10)
+
+
+class TestRSquaredFromSiteCounts:
+    """The block tail over per-site counts equals the pairwise tail on
+    the broadcast counts byte for byte — for any counts, consistent with
+    a real alignment or not, monomorphic rows and columns included."""
+
+    @staticmethod
+    def _pairwise(n11, c_rows, c_cols, n):
+        return r_squared_from_counts(
+            n11,
+            np.broadcast_to(c_rows[:, None], n11.shape),
+            np.broadcast_to(c_cols[None, :], n11.shape),
+            n,
+        )
+
+    @given(
+        n=st.integers(1, 300),
+        rows=st.integers(0, 9),
+        cols=st.integers(0, 9),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_equals_pairwise_tail(self, n, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        c_rows = rng.integers(0, n + 1, size=rows)
+        c_cols = rng.integers(0, n + 1, size=cols)
+        # Pin some sites monomorphic (0 or n) and give them counts no
+        # real alignment has, so only the explicit zeroing yields 0.
+        c_rows[: rows // 3] = 0
+        c_cols[: cols // 3] = n
+        n11 = rng.integers(0, n + 1, size=(rows, cols)).astype(np.float32)
+        want = self._pairwise(n11, c_rows, c_cols, n)
+        got = r_squared_from_site_counts(n11, c_rows, c_cols, n)
+        assert got.tobytes() == want.tobytes()
+        buf = np.full((rows + 2, cols + 3), -1.0)
+        view = buf[1 : rows + 1, 2 : cols + 2]
+        assert r_squared_from_site_counts(
+            n11, c_rows, c_cols, n, out=view
+        ) is view
+        assert np.ascontiguousarray(view).tobytes() == want.tobytes()
+
+    def test_strict_raises_on_a_monomorphic_site(self):
+        n11 = np.zeros((2, 2))
+        with pytest.raises(LDError, match="monomorphic"):
+            r_squared_from_site_counts(
+                n11, np.array([1, 0]), np.array([1, 2]), 4, strict=True
+            )
+        # An empty block has no pair to be undefined.
+        r_squared_from_site_counts(
+            np.zeros((0, 2)), np.array([], dtype=int), np.array([0, 1]), 4,
+            strict=True,
+        )
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(LDError):
+            r_squared_from_site_counts(
+                np.zeros((1, 1)), np.array([0]), np.array([0]), 0
+            )

@@ -30,7 +30,8 @@ from repro.datasets.packed import (
     SharedPackedWords,
 )
 from repro.errors import AlignmentError, LDError, ScanConfigError
-from repro.ld.gemm import r_squared_block
+from repro.ld.correlation import r_squared_from_counts
+from repro.ld.gemm import FLOAT32_EXACT_SAMPLES, gemm_dtype, r_squared_block
 from repro.ld.operands import (
     DEFAULT_MAX_GEMM_PLANE_BYTES,
     LDBackendFiller,
@@ -67,8 +68,9 @@ class TestLDOperands:
         ops = LDOperands(aln)
         cols = ops.gemm_columns(10, 30)
         assert cols.base is ops.gemm_plane()
+        assert cols.dtype == np.float32
         np.testing.assert_array_equal(
-            cols, aln.matrix[:, 10:30].astype(np.float64)
+            cols, aln.matrix[:, 10:30].astype(np.float32)
         )
 
     def test_over_cap_falls_back_to_slice_conversion(self):
@@ -77,8 +79,9 @@ class TestLDOperands:
         assert ops.gemm_plane() is None
         cols = ops.gemm_columns(5, 25)
         assert cols.base is None  # fresh conversion, not a view
+        assert cols.dtype == np.float32
         np.testing.assert_array_equal(
-            cols, aln.matrix[:, 5:25].astype(np.float64)
+            cols, aln.matrix[:, 5:25].astype(np.float32)
         )
         # The blocked fill stays bitwise identical above the cap.
         filler = LDBackendFiller(ops, "gemm")
@@ -89,6 +92,17 @@ class TestLDOperands:
 
     def test_default_cap_is_generous(self):
         assert DEFAULT_MAX_GEMM_PLANE_BYTES >= 1 << 30
+
+    def test_cap_counts_the_planes_real_itemsize(self):
+        """A float32 plane is cached when its own 4-byte cells fit the
+        cap, and refused one byte below it."""
+        aln = random_alignment(20, 60, seed=9)
+        plane_bytes = 4 * 20 * 60
+        fits = LDOperands(aln, max_gemm_plane_bytes=plane_bytes)
+        assert fits.gemm_plane() is not None
+        assert fits.gemm_plane().nbytes == plane_bytes
+        over = LDOperands(aln, max_gemm_plane_bytes=plane_bytes - 1)
+        assert over.gemm_plane() is None
 
     def test_operands_for_memoizes_per_alignment(self):
         a = random_alignment(10, 30, seed=4)
@@ -395,3 +409,77 @@ class TestSharedPackedWords:
         owner.close()
         owner.unlink()
         owner.unlink()  # second call must be a no-op
+
+
+class TestFloat32Plane:
+    """The GEMM plane is float32 below 2²⁴ samples; every co-occurrence
+    count is an integer no larger than the sample count, so the r² it
+    yields must equal a float64 plane's byte for byte."""
+
+    def test_dtype_bound(self):
+        assert FLOAT32_EXACT_SAMPLES == 2**24
+        assert gemm_dtype(1) == np.float32
+        assert gemm_dtype(2**24 - 1) == np.float32
+        assert gemm_dtype(2**24) == np.float64
+        assert LDOperands(_alignment(3, 4)).gemm_plane().dtype == np.float32
+
+    @staticmethod
+    def _float64_reference(aln, rows, cols):
+        """The float64 GEMM and the broadcast pairwise r² tail."""
+        a = aln.matrix.astype(np.float64)
+        n11 = a[:, rows].T @ a[:, cols]
+        counts = aln.derived_counts()
+        return r_squared_from_counts(
+            n11,
+            np.broadcast_to(counts[rows, None], n11.shape),
+            np.broadcast_to(counts[None, cols], n11.shape),
+            aln.n_samples,
+        )
+
+    def _assert_planes_agree(self, aln, monkeypatch):
+        n = aln.n_sites
+        rows, cols = slice(0, max(1, n // 2)), slice(n // 4, n)
+        ref = self._float64_reference(aln, rows, cols)
+        f32 = LDOperands(aln)
+        assert f32.gemm_plane().dtype == np.float32
+        with monkeypatch.context() as m:
+            m.setattr(
+                "repro.ld.operands.gemm_dtype",
+                lambda _n: np.dtype(np.float64),
+            )
+            f64 = LDOperands(aln)
+            assert f64.gemm_plane().dtype == np.float64
+            for backend in ("gemm", "packed", "auto"):
+                want = LDBackendFiller(f64, backend)(rows, cols)
+                got = LDBackendFiller(f32, backend)(rows, cols)
+                assert want.tobytes() == ref.tobytes(), backend
+                assert got.tobytes() == ref.tobytes(), backend
+        assert r_squared_block(aln, rows, cols).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_samples", [1, 63, 64, 65])
+    def test_sample_ladder(self, n_samples, monkeypatch):
+        aln = _alignment(n_samples, n_sites=70, seed=n_samples + 100)
+        self._assert_planes_agree(aln, monkeypatch)
+
+    @pytest.mark.parametrize("n_samples", [1, 64, 65])
+    def test_monomorphic_columns(self, n_samples, monkeypatch):
+        aln = _alignment(n_samples, n_sites=50, seed=n_samples + 200)
+        matrix = aln.matrix.copy()
+        matrix[:, 3] = 0
+        matrix[:, 30] = 1
+        aln = SNPAlignment(matrix, aln.positions, aln.length)
+        self._assert_planes_agree(aln, monkeypatch)
+
+    def test_block_written_into_a_strided_view(self):
+        """``out=`` writes the same bytes into a view of a larger buffer
+        and returns that view."""
+        aln = _alignment(65, n_sites=60, seed=301)
+        rows, cols = slice(10, 30), slice(5, 55)
+        ref = r_squared_block(aln, rows, cols)
+        for backend in ("gemm", "packed"):
+            buf = np.full((40, 70), -1.0)
+            view = buf[3:23, 7:57]
+            filler = LDBackendFiller(operands_for(aln), backend)
+            assert filler(rows, cols, out=view) is view
+            assert np.ascontiguousarray(view).tobytes() == ref.tobytes()
+            assert (buf[:3] == -1.0).all() and (buf[:, :7] == -1.0).all()

@@ -287,3 +287,191 @@ class TestAnchoredBuffer:
         whole = R2RegionCache(_ANCHOR_ALN)
         whole.region_matrix(0, 89)
         assert whole.capacity == 90  # never wider than the alignment
+
+
+# --------------------------------------------------------------------- #
+# filling ahead
+# --------------------------------------------------------------------- #
+
+
+class _HorizonSource:
+    """Block source over ``_ANCHOR_ALN`` that serves only sites below
+    ``horizon`` (like a streamed chunk) and counts its physical fills.
+    :meth:`block_into` takes the cache's ``out`` buffer views;
+    :meth:`block` returns fresh blocks."""
+
+    def __init__(self, horizon: int):
+        self.horizon = horizon
+        self.calls = 0
+        self.entries = 0
+        self._filler = LDBackendFiller(operands_for(_ANCHOR_ALN), "gemm")
+
+    def _check(self, rows, cols):
+        if max(rows.stop, cols.stop) > self.horizon:
+            raise AssertionError(
+                f"asked for {rows} x {cols} past horizon {self.horizon}"
+            )
+        self.calls += 1
+        self.entries += (rows.stop - rows.start) * (cols.stop - cols.start)
+
+    def block(self, rows, cols):
+        self._check(rows, cols)
+        return self._filler(rows, cols)
+
+    def block_into(self, rows, cols, out=None):
+        self._check(rows, cols)
+        return self._filler(rows, cols, out=out)
+
+
+@st.composite
+def _horizon_walks(draw):
+    """A horizon below the site count plus a walk of regions under it."""
+    n = _ANCHOR_ALN.n_sites
+    horizon = draw(st.integers(2, n - 1))
+    start = draw(st.integers(0, horizon - 1))
+    width = draw(st.integers(1, 30))
+    regions = []
+    for _ in range(draw(st.integers(1, 30))):
+        regions.append((start, min(horizon - 1, start + width - 1)))
+        move = draw(
+            st.sampled_from(["forward", "forward", "backward", "jump", "resize"])
+        )
+        if move == "forward":
+            start += draw(st.integers(1, 8))
+        elif move == "backward":
+            start -= draw(st.integers(1, 8))
+        elif move == "jump":
+            start = draw(st.integers(0, horizon - 1))
+        else:
+            width = draw(st.integers(1, 30))
+        start = min(max(start, 0), horizon - 1)
+    return horizon, regions
+
+
+class TestFillAhead:
+    @given(walk=_horizon_walks(), into=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_property_walks_under_a_horizon(self, walk, into):
+        """Forward, backward and disjoint walks under a horizon: every
+        view is bitwise the direct fill and read-only, the source is
+        never asked past the horizon, the served-region counters equal
+        the pure mirror, and the buffer stays within 1.25 x the widest
+        region (plus rounding)."""
+        horizon, regions = walk
+        source = _HorizonSource(horizon)
+        cache = R2RegionCache(
+            None,
+            block_fn=source.block_into if into else source.block,
+            n_sites=_ANCHOR_ALN.n_sites,
+        )
+        cache.horizon = horizon
+        widest = 0
+        for start, stop in regions:
+            got = cache.region_matrix(start, stop)
+            want = r_squared_block(
+                _ANCHOR_ALN, slice(start, stop + 1), slice(start, stop + 1)
+            )
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            widest = max(widest, stop - start + 1)
+            assert cache.capacity <= 1.25 * widest + 1
+        fresh = simulate_fresh_entries(regions)
+        assert cache.stats.entries_computed == sum(fresh)
+        total = sum((b - a + 1) ** 2 for a, b in regions)
+        assert cache.stats.entries_reused == total - sum(fresh)
+
+    def test_region_past_the_horizon_is_refused(self):
+        cache = R2RegionCache(_ANCHOR_ALN)
+        cache.horizon = 40
+        cache.region_matrix(10, 39)
+        with pytest.raises(ScanConfigError, match="horizon"):
+            cache.region_matrix(11, 40)
+
+    def test_forward_scan_fills_ahead_in_few_calls(self):
+        """A stride-1 forward scan: each fill reaches the buffer edge, so
+        the positions after it compute nothing and the source sees a
+        fraction of the calls one fringe per position would take; the
+        rows it filled ahead cost at most a fifth more entries than
+        the fringes would."""
+        source = _HorizonSource(_ANCHOR_ALN.n_sites)
+        cache = R2RegionCache(
+            None, block_fn=source.block_into, n_sites=_ANCHOR_ALN.n_sites
+        )
+        width, steps = 40, 40
+        calls = []
+        for start in range(steps):
+            cache.region_matrix(start, start + width - 1)
+            calls.append(source.calls)
+        # The first region fills its own square in one slab; the first
+        # step past it fills ahead to the buffer edge (capacity 50), and
+        # the next steps until that edge are served without a call.
+        assert calls[0] == 1
+        assert calls[1] == 2
+        assert calls[1:10] == [2] * 9
+        assert calls[-1] <= steps // 5 + 2
+        fringes = width * width + (steps - 1) * width
+        assert source.entries <= 1.2 * fringes
+
+    def test_reset_forgets_the_filled_rows(self):
+        source = _HorizonSource(_ANCHOR_ALN.n_sites)
+        cache = R2RegionCache(
+            None, block_fn=source.block, n_sites=_ANCHOR_ALN.n_sites
+        )
+        cache.region_matrix(0, 19)
+        cache.region_matrix(1, 20)
+        calls = source.calls
+        cache.reset()
+        view = cache.region_matrix(1, 20)
+        assert source.calls > calls
+        want = r_squared_block(_ANCHOR_ALN, slice(1, 21), slice(1, 21))
+        assert view.tobytes() == want.tobytes()
+
+
+class TestModelledEnginesKeepTheirCharge:
+    """The modelled GPU/FPGA engines charge LD device time from the
+    cache's served-region counters, so how the host fills r² must not
+    move their modelled seconds. Pinned on a fixed input."""
+
+    @pytest.fixture(scope="class")
+    def scanned(self):
+        from repro.accel.fpga import ALVEO_U200, FPGAOmegaEngine, PipelineModel
+        from repro.accel.gpu import TESLA_K80, GPUOmegaEngine
+        from repro.core.grid import GridSpec
+        from repro.core.scan import OmegaConfig
+
+        aln = haplotype_block_alignment(40, 300, seed=5)
+        cfg = OmegaConfig(
+            grid=GridSpec(n_positions=40, max_window=aln.length / 6)
+        )
+        return {
+            "gpu": GPUOmegaEngine(TESLA_K80).scan(aln, cfg),
+            "fpga": FPGAOmegaEngine(PipelineModel(ALVEO_U200)).scan(aln, cfg),
+        }
+
+    PINNED = {
+        "gpu": {
+            "d2h": "0x1.37961a73f405ap-12",
+            "h2d": "0x1.3a83ceb5e5920p-12",
+            "kernel": "0x1.99f9315da24b7p-11",
+            "ld": "0x1.a30db8df6975ep-8",
+            "prep": "0x1.6c5831b41beadp-12",
+        },
+        "fpga": {
+            "ld": "0x1.ef0148b7bc5b7p-18",
+            "omega_hw": "0x1.023b5f42fc0c4p-14",
+            "omega_sw": "0x1.b57ccc81cbc52p-12",
+        },
+    }
+
+    @pytest.mark.parametrize("engine", ["gpu", "fpga"])
+    def test_modelled_seconds_are_pinned(self, scanned, engine):
+        result, record = scanned[engine]
+        assert record.scores["ld"] == 49328
+        assert result.reuse.entries_computed == 49328
+        assert result.reuse.entries_reused == 292465
+        pinned = self.PINNED[engine]
+        assert set(record.seconds) == set(pinned)
+        for phase, value in pinned.items():
+            assert record.seconds[phase] == pytest.approx(
+                float.fromhex(value), rel=1e-12
+            ), phase

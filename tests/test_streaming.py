@@ -756,3 +756,34 @@ class TestChromosomeEnumeration:
         )
         assert first.length == 251.0
         assert second.length == 401.0
+
+
+class TestChunkEndsCutTheFillAhead:
+    """The region cache fills rows ahead of the served region, up to its
+    horizon; in a streamed scan the horizon is the resident chunk's end,
+    since the chunk's block source cannot serve sites past it. Budgets
+    just above the widest region put a chunk end inside almost every
+    fill-ahead."""
+
+    _ALN = haplotype_block_alignment(30, 400, seed=91)
+
+    @pytest.mark.parametrize("extra", [0, 1, 3, 17])
+    @pytest.mark.parametrize("backend", ["gemm", "packed"])
+    def test_small_budget_is_bitwise_in_memory(self, extra, backend):
+        aln = self._ALN
+        config = OmegaConfig(
+            grid=GridSpec(n_positions=80, max_window=aln.length / 8),
+            ld_backend=backend,
+        )
+        budget = _widest(build_plans(aln, config.grid)) + extra
+        parts = list(iter_scan_stream(aln, config, snp_budget=budget))
+        assert len(parts) > 5
+        ref = OmegaPlusScanner(config).scan(aln)
+        streamed = scan_stream(aln, config, snp_budget=budget)
+        for field in (
+            "positions", "omegas", "left_borders_bp", "right_borders_bp",
+            "n_evaluations",
+        ):
+            got, want = getattr(streamed, field), getattr(ref, field)
+            assert got.tobytes() == want.tobytes(), field
+        assert streamed.reuse == ref.reuse
