@@ -5,24 +5,14 @@ The scaling law (near-linear to 4 cores, saturating SMT bonus beyond) is
 printed against the published column; the benchmark also runs the *real*
 multiprocess scanner to verify the partitioning machinery on this host
 (single-core containers show no wall-clock gain, but report equality is
-asserted), and compares the shared-memory dynamic-block scheduler with
-the legacy pickled static-chunk baseline: wall-clock scaling curves and
-per-task serialized payload (the pickled path ships the full alignment
-to every worker; the shared path ships three integers per block).
+asserted).
 """
-
-import pickle
 
 import numpy as np
 
 from repro.analysis.tables import render_table, table4_rows
 from repro.core.grid import GridSpec
-from repro.core.parallel import (
-    _WorkerTask,
-    make_blocks,
-    parallel_scan,
-    split_grid,
-)
+from repro.core.parallel import parallel_scan
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
 from repro.datasets.generators import haplotype_block_alignment
 
@@ -58,106 +48,3 @@ def test_real_multiprocess_scan(benchmark, report):
         f"4-core scaling lives in the Table IV model above",
     )
     assert identical
-
-
-def test_shared_vs_pickled_scaling(benchmark, report):
-    """Old-vs-new scaling curves: wall-clock per worker count for the
-    legacy pickled static-chunk scheduler and the shared-memory
-    dynamic-block scheduler, both validated against the sequential scan.
-
-    Wall-clock ordering is reported but only asserted loosely (CI
-    containers may expose a single core, where neither scheduler can
-    win); the structural advantages — zero per-task matrix pickling and
-    cross-worker tile sharing — are asserted strictly below and in
-    ``test_task_payload_bytes``.
-    """
-    alignment = haplotype_block_alignment(50, 600, seed=21)
-    config = OmegaConfig(
-        grid=GridSpec(n_positions=24, max_window=alignment.length / 4)
-    )
-    sequential = OmegaPlusScanner(config).scan(alignment)
-
-    def curves():
-        rows = []
-        for n_workers in (1, 2, 4, 8):
-            times = {}
-            for scheduler in ("pickled", "shared"):
-                result = parallel_scan(
-                    alignment,
-                    config,
-                    n_workers=n_workers,
-                    scheduler=scheduler,
-                )
-                np.testing.assert_allclose(
-                    result.omegas, sequential.omegas, rtol=1e-9, atol=1e-12
-                )
-                times[scheduler] = result.breakdown.wall_seconds
-                if scheduler == "shared" and n_workers > 1:
-                    assert (
-                        result.reuse.tile_entries_computed
-                        + result.reuse.tile_entries_reused
-                        > 0
-                    )
-            rows.append(
-                {
-                    "workers": n_workers,
-                    "pickled (s)": f"{times['pickled']:.3f}",
-                    "shared (s)": f"{times['shared']:.3f}",
-                    "shared/pickled": f"{times['shared'] / times['pickled']:.2f}x"
-                    if times["pickled"] > 0
-                    else "n/a",
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(curves, rounds=1, iterations=1)
-    report(
-        "E10c: shared-memory dynamic blocks vs pickled static chunks",
-        render_table(rows)
-        + "\nboth schedulers match the sequential report (asserted); "
-        "ratios < 1 mean the shared scheduler is faster (expected at "
-        ">= 4 workers on multi-core hosts)",
-    )
-
-
-def test_task_payload_bytes(report):
-    """The tentpole's measurable invariant: per-worker serialized payload
-    drops from the full alignment to a few bytes of block descriptor."""
-    alignment = haplotype_block_alignment(50, 600, seed=21)
-    config = OmegaConfig(
-        grid=GridSpec(n_positions=24, max_window=alignment.length / 4)
-    )
-    grid_positions = config.grid.positions(alignment)
-    n_workers = 4
-
-    pickled_tasks = [
-        _WorkerTask(
-            matrix=alignment.matrix,
-            positions=alignment.positions,
-            length=alignment.length,
-            config=config,
-            grid_positions=grid_positions[a:b],
-        )
-        for a, b in split_grid(grid_positions.size, n_workers)
-    ]
-    pickled_bytes = sum(len(pickle.dumps(t)) for t in pickled_tasks)
-
-    blocks = make_blocks(grid_positions.size, n_workers)
-    shared_task_bytes = sum(
-        len(pickle.dumps((idx, lo, hi)))
-        for idx, (lo, hi) in enumerate(blocks)
-    )
-    per_task = shared_task_bytes / len(blocks)
-
-    report(
-        "E10d: serialized bytes shipped to workers per scan",
-        f"pickled static chunks : {pickled_bytes:>10d} B "
-        f"({len(pickled_tasks)} tasks, full alignment each)\n"
-        f"shared dynamic blocks : {shared_task_bytes:>10d} B "
-        f"({len(blocks)} tasks, {per_task:.0f} B each)\n"
-        f"reduction             : {pickled_bytes / max(1, shared_task_bytes):,.0f}x",
-    )
-    # Every pickled task carries at least the matrix; every shared task is
-    # three small integers.
-    assert pickled_bytes > n_workers * alignment.matrix.nbytes
-    assert per_task < 100

@@ -16,7 +16,8 @@ The current architecture mirrors the pthread model instead:
 * **Shared segments** — the SNP matrix and positions live in POSIX shared
   memory (:class:`~repro.datasets.alignment.SharedAlignmentSegments`),
   created once by the parent; a persistent worker pool attaches zero-copy
-  in its initializer. Per-task payloads are three integers.
+  by segment name. Per-task payloads are a block's grid positions plus
+  the segment names — never the alignment.
 * **Shared r² tile store** — fresh r² entries are computed once
   process-wide into a shared tile band
   (:class:`~repro.core.tilestore.SharedR2TileStore`) and served to every
@@ -38,10 +39,6 @@ The current architecture mirrors the pthread model instead:
   merged breakdown's phase totals remain *summed worker CPU seconds*,
   while its ``wall_seconds`` field records true elapsed time (see
   :class:`~repro.utils.timing.TimeBreakdown`).
-
-The previous pickled static-chunk implementation is kept behind
-``scheduler="pickled"`` as the A/B baseline for
-``benchmarks/bench_table4_threads.py``.
 """
 
 from __future__ import annotations
@@ -70,8 +67,12 @@ from repro.core.grid import (
 )
 from repro.core.results import ScanResult, merge_scan_results
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
-from repro.core.tilestore import SharedR2TileStore
-from repro.datasets.alignment import SharedAlignmentSegments, SNPAlignment
+from repro.core.tilestore import SharedR2TileStore, TileStoreSpec
+from repro.datasets.alignment import (
+    SharedAlignmentSegments,
+    SharedAlignmentSpec,
+    SNPAlignment,
+)
 from repro.datasets.streaming import AlignmentStreamSource
 from repro.errors import ScanConfigError
 from repro.utils.timing import TimeBreakdown
@@ -83,7 +84,6 @@ __all__ = [
     "make_blocks",
     "parallel_scan",
     "plans_for_positions",
-    "split_grid",
 ]
 
 #: Target number of scheduling blocks per worker. More blocks balance the
@@ -92,30 +92,6 @@ __all__ = [
 #: per worker keeps the straggler tail under ~25 % of one worker's share
 #: while blocks stay tens of positions long on realistic grids.
 BLOCKS_PER_WORKER = 4
-
-
-def split_grid(n_positions: int, n_workers: int) -> List[Tuple[int, int]]:
-    """Split ``n_positions`` into ``n_workers`` contiguous [start, stop)
-    chunks whose sizes differ by at most one. Empty chunks are dropped.
-
-    This is the *static* partitioning of the legacy pickled scheduler
-    (one chunk per worker); the shared-memory scheduler cuts finer with
-    :func:`make_blocks`.
-    """
-    if n_positions < 1:
-        raise ScanConfigError(f"n_positions must be >= 1, got {n_positions}")
-    if n_workers < 1:
-        raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
-    base, extra = divmod(n_positions, n_workers)
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for w in range(n_workers):
-        size = base + (1 if w < extra else 0)
-        if size == 0:
-            continue
-        chunks.append((start, start + size))
-        start += size
-    return chunks
 
 
 def make_blocks(
@@ -155,238 +131,218 @@ def plans_for_positions(
     )
 
 
-class _FixedGridScanner(OmegaPlusScanner):
-    """Scanner whose grid positions are supplied explicitly rather than
-    derived from the grid spec (used to hand each worker its block)."""
-
-    def __init__(
-        self,
-        config: OmegaConfig,
-        grid_positions: np.ndarray,
-        *,
-        block_fn=None,
-        valid_mask: Optional[np.ndarray] = None,
-    ):
-        super().__init__(config, block_fn=block_fn, valid_mask=valid_mask)
-        self._grid_positions = grid_positions
-
-    def scan(self, alignment: SNPAlignment) -> ScanResult:
-        spec = self.config.grid
-        fixed = self._grid_positions
-        if fixed.size == 0:
-            # An empty block scans nothing. Returning the empty result
-            # directly keeps the patched spec below consistent
-            # (GridSpec requires n_positions >= 1, which would disagree
-            # with a zero-length fixed position array).
-            return ScanResult(
-                positions=np.zeros(0),
-                omegas=np.zeros(0),
-                left_borders_bp=np.zeros(0),
-                right_borders_bp=np.zeros(0),
-                n_evaluations=np.zeros(0, dtype=np.int64),
-            )
-
-        # Reuse the sequential implementation verbatim with a
-        # fixed-position grid (see :func:`fixed_position_spec`); every
-        # other config field (eps, backends, reuse, batching) is
-        # forwarded unchanged.
-        patched = fixed_position_spec(spec, fixed)
-        cfg = dataclasses.replace(self.config, grid=patched)
-        return OmegaPlusScanner(
-            cfg, block_fn=self._block_fn, valid_mask=self._valid_mask
-        ).scan(alignment)
-
-
-# ---------------------------------------------------------------------- #
-# legacy pickled static-chunk scheduler (the A/B baseline)
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class _WorkerTask:
-    """Picklable task description shipped to a worker process — carries a
-    full copy of the alignment, which is exactly what the shared-memory
-    scheduler exists to avoid."""
-
-    matrix: np.ndarray
-    positions: np.ndarray
-    length: float
-    config: OmegaConfig
-    grid_positions: np.ndarray
-    #: Global plan validity per grid position (streamed scans only): the
-    #: matrix above may be a chunk, and chunk-local planning must not
-    #: resurrect positions the global plan skipped.
-    valid_mask: Optional[np.ndarray] = None
-    #: Observability configuration (trace path); applied before scanning
-    #: so worker spans land in the parent's trace file.
-    obs_spec: Optional[obs.ObsSpec] = None
-
-
-def _run_chunk(task: _WorkerTask) -> ScanResult:
-    """Worker body: scan a fixed set of grid positions sequentially."""
-    obs.configure_worker(task.obs_spec)
-    alignment = SNPAlignment(
-        matrix=task.matrix, positions=task.positions, length=task.length
+def _unscanned_result(grid_positions: np.ndarray) -> ScanResult:
+    """Report for grid positions with no sites to scan: ω = 0 and NaN
+    borders, as the sequential scanner reports SNP deserts."""
+    size = grid_positions.size
+    return ScanResult(
+        positions=grid_positions.copy(),
+        omegas=np.zeros(size),
+        left_borders_bp=np.full(size, np.nan),
+        right_borders_bp=np.full(size, np.nan),
+        n_evaluations=np.zeros(size, dtype=np.int64),
     )
-    scanner = _FixedGridScanner(
-        task.config, task.grid_positions, valid_mask=task.valid_mask
-    )
-    result = scanner.scan(alignment)
-    obs.get_tracer().flush()
-    return result
-
-
-def _scan_pickled_static(
-    alignment: SNPAlignment,
-    config: OmegaConfig,
-    n_workers: int,
-    mp_context: Optional[str],
-) -> ScanResult:
-    grid_positions = config.grid.positions(alignment)
-    chunks = split_grid(grid_positions.size, n_workers)
-    spec = obs.current_spec()
-    tasks = [
-        _WorkerTask(
-            matrix=alignment.matrix,
-            positions=alignment.positions,
-            length=alignment.length,
-            config=config,
-            grid_positions=grid_positions[a:b],
-            obs_spec=spec,
-        )
-        for a, b in chunks
-    ]
-    with obs.scoped_metrics() as registry:
-        registry.counter("scheduler.blocks_dispatched").inc(len(tasks))
-        ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
-        with ctx.Pool(processes=len(tasks)) as pool:
-            parts = pool.map(_run_chunk, tasks)
-        sched_snap = registry.snapshot()
-    result = _merge_parts(parts)
-    result.metrics = obs.merge_snapshots(result.metrics, sched_snap)
-    return result
-
-
-def _merge_parts(parts: List[ScanResult]) -> ScanResult:
-    """Concatenate per-block records (in grid order) and merge the
-    observability sidecars (now public as
-    :func:`repro.core.results.merge_scan_results`)."""
-    return merge_scan_results(parts)
 
 
 # ---------------------------------------------------------------------- #
-# shared-memory dynamic-block scheduler
+# worker side
 # ---------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
 class _WorkerSetup:
-    """Everything a worker needs, shipped once via the pool initializer.
+    """Everything a worker needs up front, shipped once via the pool
+    initializer."""
 
-    ``alignment_spec`` and ``tile_spec`` are a few strings/ints each —
-    the actual data stays in shared memory.
-    """
-
-    alignment_spec: object
-    tile_spec: object
     config: OmegaConfig
-    grid_positions: np.ndarray
     obs_spec: Optional[obs.ObsSpec] = None
     #: Capacity of each worker's private LRU of assembled multi-tile
     #: r² blocks (0 disables). Long-lived service sessions turn this on
     #: so repeated scans of hot regions stop re-memcpying assemblies.
     block_lru_bytes: int = 0
+    #: Segments to attach in the initializer, keeping the attach cost out
+    #: of the first block (``None`` for streamed pools, whose chunks are
+    #: attached as their tasks arrive).
+    alignment_spec: Optional[SharedAlignmentSpec] = None
+    tile_spec: Optional[TileStoreSpec] = None
 
 
-#: Per-worker-process state, populated by the pool initializer. Holds an
-#: exception instance when attachment failed (surfaced by the first task
-#: instead of crashing the initializer, which would make the pool respawn
-#: workers forever).
-_WORKER_STATE = None
+@dataclass(frozen=True)
+class _BlockTask:
+    """One scheduling block: its grid positions and the shared segments to
+    scan them against. The specs are a few strings/ints each — the data
+    stays in shared memory."""
+
+    idx: int
+    grid_block: np.ndarray
+    alignment_spec: SharedAlignmentSpec
+    tile_spec: Optional[TileStoreSpec] = None
+    #: Global plan validity per grid position (streamed scans only): the
+    #: attached alignment may be a chunk, and chunk-local planning must
+    #: not resurrect positions the global plan skipped.
+    valid_mask: Optional[np.ndarray] = None
+    span_args: Optional[dict] = None
+
+
+#: Per-worker-process state. ``setup`` comes from the pool initializer;
+#: ``name``/``segments``/``store`` are the currently mapped segments,
+#: swapped whenever a task names a different alignment segment. ``error``
+#: holds an initializer attach failure, reported by the first task instead
+#: of crashing the initializer (which would make the pool respawn workers
+#: forever).
+_WORKER_STATE: dict = {
+    "setup": None,
+    "name": None,
+    "segments": None,
+    "store": None,
+    "error": None,
+}
+
+
+def _attach(
+    alignment_spec: SharedAlignmentSpec, tile_spec: Optional[TileStoreSpec]
+) -> None:
+    """Map the named segments, releasing the previously mapped ones."""
+    state = _WORKER_STATE
+    segments = SharedAlignmentSegments.attach(alignment_spec)
+    store = None
+    if tile_spec is not None:
+        store = SharedR2TileStore.attach(tile_spec, segments.alignment)
+        if state["setup"].block_lru_bytes > 0:
+            store.enable_block_lru(state["setup"].block_lru_bytes)
+    for old in (state["segments"], state["store"]):
+        if old is not None:
+            old.close()
+    state.update(
+        name=alignment_spec.matrix_name, segments=segments, store=store
+    )
 
 
 def _init_worker(setup: _WorkerSetup) -> None:
-    global _WORKER_STATE
+    _WORKER_STATE.update(
+        setup=setup, name=None, segments=None, store=None, error=None
+    )
     try:
         obs.configure_worker(setup.obs_spec)
-        segments = SharedAlignmentSegments.attach(setup.alignment_spec)
-        store = None
-        if setup.tile_spec is not None:
-            store = SharedR2TileStore.attach(
-                setup.tile_spec, segments.alignment
-            )
-            if setup.block_lru_bytes > 0:
-                store.enable_block_lru(setup.block_lru_bytes)
-        _WORKER_STATE = (segments, store, setup.config, setup.grid_positions)
+        if setup.alignment_spec is not None:
+            _attach(setup.alignment_spec, setup.tile_spec)
     except BaseException as exc:  # noqa: BLE001 - reported by first task
-        _WORKER_STATE = exc
+        _WORKER_STATE["error"] = exc
 
 
-def _scan_attached(
-    idx: int, grid_block: np.ndarray, span_args: dict
-) -> Tuple[int, ScanResult]:
-    """Scan an explicit grid-position block against the attached shared
-    alignment (shared body of the fixed-grid and request worker fns)."""
+def _scan_block(task: _BlockTask) -> Tuple[int, ScanResult]:
+    """Worker body: scan one grid block against the task's shared
+    alignment (attached here unless already mapped); returns
+    ``(block index, block result)``."""
     state = _WORKER_STATE
-    if state is None or isinstance(state, BaseException):
+    if state["error"] is not None:
         raise RuntimeError(
             "shared-memory worker failed to attach its segments"
-        ) from (state if isinstance(state, BaseException) else None)
-    segments, store, config, _grid_positions = state
-    block_fn = store.block if store is not None else None
-    scanner = _FixedGridScanner(config, grid_block, block_fn=block_fn)
+        ) from state["error"]
+    if task.grid_block.size == 0:
+        # GridSpec requires n_positions >= 1, so an empty block cannot
+        # take the fixed-position spec below; it scans to nothing.
+        return task.idx, _unscanned_result(task.grid_block)
+    if state["name"] != task.alignment_spec.matrix_name:
+        _attach(task.alignment_spec, task.tile_spec)
+    segments, store = state["segments"], state["store"]
+    config = state["setup"].config
     if store is not None:
         computed0 = store.tile_entries_computed
         reused0 = store.tile_entries_reused
     tr = obs.get_tracer()
-    with tr.span("scan_block", "block", args=span_args):
-        result = scanner.scan(segments.alignment)
+    with tr.span("scan_block", "block", args=task.span_args):
+        # The sequential scanner, verbatim, over the block's explicit
+        # positions; every other config field is forwarded unchanged.
+        grid = fixed_position_spec(config.grid, task.grid_block)
+        result = OmegaPlusScanner(
+            dataclasses.replace(config, grid=grid),
+            block_fn=store.block if store is not None else None,
+            valid_mask=task.valid_mask,
+        ).scan(segments.alignment)
     if store is not None:
         result.reuse.tile_entries_computed += (
             store.tile_entries_computed - computed0
         )
         result.reuse.tile_entries_reused += store.tile_entries_reused - reused0
     tr.flush()
-    return idx, result
+    return task.idx, result
 
 
-def _scan_block(task: Tuple[int, int, int]) -> Tuple[int, ScanResult]:
-    """Worker body: scan grid positions [lo, hi) against the attached
-    shared alignment; returns (block index, block result)."""
-    idx, lo, hi = task
-    state = _WORKER_STATE
-    if isinstance(state, tuple):
-        grid_positions = state[3]
-        return _scan_attached(
-            idx,
-            grid_positions[lo:hi],
-            {"block": idx, "lo": lo, "hi": hi},
+# ---------------------------------------------------------------------- #
+# driver side
+# ---------------------------------------------------------------------- #
+
+
+class _SharedPool:
+    """A worker pool plus the shared segments it scans; :meth:`close`
+    tears both down, so error paths do not orphan ``/dev/shm`` entries."""
+
+    _pool = None
+    _segments: Optional[SharedAlignmentSegments] = None
+    _store: Optional[SharedR2TileStore] = None
+
+    _n_workers: int
+    _mp_context: Optional[str]
+
+    def _fork(self, setup: _WorkerSetup) -> None:
+        ctx = (
+            mp.get_context(self._mp_context)
+            if self._mp_context
+            else mp.get_context()
         )
-    return _scan_attached(
-        idx, np.zeros(0), {"block": idx, "lo": lo, "hi": hi}
-    )
+        self._pool = ctx.Pool(
+            processes=self._n_workers,
+            initializer=_init_worker,
+            initargs=(setup,),
+        )
+
+    def _block_task(self, idx, grid_block, valid_mask=None, **span_args):
+        return _BlockTask(
+            idx=idx,
+            grid_block=grid_block,
+            alignment_spec=self._segments.spec,
+            tile_spec=self._store.spec if self._store is not None else None,
+            valid_mask=valid_mask,
+            span_args={"block": idx, **span_args},
+        )
+
+    def _unpublish(self) -> None:
+        if self._store is not None:
+            self._store.close()
+            self._store.unlink()
+            self._store = None
+        if self._segments is not None:
+            self._segments.close()
+            self._segments.unlink()
+            self._segments = None
+
+    def close(self) -> None:
+        """Tear down the pool and remove any shared segments still live."""
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+        self._unpublish()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
 
-def _scan_request_block(task) -> Tuple[int, ScanResult]:
-    """Worker body for service requests: the task carries its own grid
-    positions (a request's region grid is not the session's grid), plus
-    a request tag for the trace."""
-    idx, grid_block, request_id = task
-    return _scan_attached(
-        idx, grid_block, {"block": idx, "request": request_id}
-    )
-
-
-class ParallelScanSession:
+class ParallelScanSession(_SharedPool):
     """Persistent shared-memory scan workers over one alignment.
 
     Creating a session places the alignment (and the r² tile band) in
     shared memory and forks a worker pool that attaches zero-copy; every
-    :meth:`scan` then only moves block descriptors — three integers each —
-    through the pool's task queue, so repeated scans reuse warm workers
-    *and* the already-computed tiles. Use as a context manager (or call
-    :meth:`close`): teardown unlinks the segments even on error paths, so
-    failed scans do not orphan ``/dev/shm`` entries.
+    :meth:`scan` then only moves block descriptors — the block's grid
+    positions plus the segment names — through the pool's task queue, so
+    repeated scans reuse warm workers *and* the already-computed tiles.
+    Use as a context manager (or call :meth:`close`): teardown unlinks the
+    segments even on error paths, so failed scans do not orphan
+    ``/dev/shm`` entries.
     """
 
     def __init__(
@@ -397,8 +353,6 @@ class ParallelScanSession:
         n_workers: int,
         mp_context: Optional[str] = None,
         block_size: Optional[int] = None,
-        shared_tiles: bool = True,
-        cost_ordering: bool = True,
         block_lru_bytes: int = 0,
     ):
         if n_workers < 1:
@@ -408,12 +362,7 @@ class ParallelScanSession:
         self._n_workers = n_workers
         self._mp_context = mp_context
         self._block_size = block_size
-        self._shared_tiles = shared_tiles
-        self._cost_ordering = cost_ordering
         self._block_lru_bytes = block_lru_bytes
-        self._segments: Optional[SharedAlignmentSegments] = None
-        self._store: Optional[SharedR2TileStore] = None
-        self._pool = None
         self._grid_positions: Optional[np.ndarray] = None
         self._position_costs: Optional[np.ndarray] = None
         self._position_evals: Optional[np.ndarray] = None
@@ -453,34 +402,37 @@ class ParallelScanSession:
                 "shm_publish", "shm", args={"sites": int(alignment.n_sites)}
             ):
                 self._segments = SharedAlignmentSegments.create(alignment)
-                if self._shared_tiles and max_span >= 1:
+                if max_span >= 1:
                     self._store = SharedR2TileStore.create(
                         alignment,
                         max_pair_span=max_span,
                         backend=config.ld_backend,
                     )
-            setup = _WorkerSetup(
-                alignment_spec=self._segments.spec,
-                tile_spec=self._store.spec if self._store else None,
-                config=config,
-                grid_positions=self._grid_positions,
-                obs_spec=obs.current_spec(),
-                block_lru_bytes=self._block_lru_bytes,
-            )
-            ctx = (
-                mp.get_context(self._mp_context)
-                if self._mp_context
-                else mp.get_context()
-            )
-            self._pool = ctx.Pool(
-                processes=self._n_workers,
-                initializer=_init_worker,
-                initargs=(setup,),
+            self._fork(
+                _WorkerSetup(
+                    config=config,
+                    obs_spec=obs.current_spec(),
+                    block_lru_bytes=self._block_lru_bytes,
+                    alignment_spec=self._segments.spec,
+                    tile_spec=self._store.spec if self._store else None,
+                ),
             )
         except BaseException:
             self.close()
             raise
         return self
+
+    def _sorted_tasks(self, grid_positions, blocks, costs, **span_args):
+        """One task per block, largest estimated cost first so stragglers
+        start early."""
+        tasks = [
+            self._block_task(
+                idx, grid_positions[lo:hi], lo=lo, hi=hi, **span_args
+            )
+            for idx, (lo, hi) in enumerate(blocks)
+        ]
+        tasks.sort(key=lambda t: -float(costs[slice(*blocks[t.idx])].sum()))
+        return tasks
 
     def scan(self) -> ScanResult:
         """Run one full scan; the report matches the sequential scanner."""
@@ -493,10 +445,8 @@ class ParallelScanSession:
             self._n_workers,
             block_size=self._block_size,
         )
-        tasks = [(idx, lo, hi) for idx, (lo, hi) in enumerate(blocks)]
         costs = self._position_costs
-        if self._cost_ordering:
-            tasks.sort(key=lambda t: -float(costs[t[1] : t[2]].sum()))
+        tasks = self._sorted_tasks(self._grid_positions, blocks, costs)
         tr = obs.get_tracer()
         with obs.scoped_metrics() as registry:
             blocks_c = registry.counter("scheduler.blocks_dispatched")
@@ -507,7 +457,8 @@ class ParallelScanSession:
                 "dispatch", "scheduler", args={"blocks": len(tasks)}
             ):
                 blocks_c.inc(len(tasks))
-                for _idx, lo, hi in tasks:
+                for task in tasks:
+                    lo, hi = blocks[task.idx]
                     est_h.observe(float(costs[lo:hi].sum()))
                 pending = len(tasks)
                 depth_g.set(pending)
@@ -555,7 +506,7 @@ class ParallelScanSession:
                     self._cost_model.calibration_blocks
                 )
             sched_snap = registry.snapshot()
-        result = _merge_parts([parts[i] for i in range(len(blocks))])
+        result = merge_scan_results([parts[i] for i in range(len(blocks))])
         result.metrics = obs.merge_snapshots(result.metrics, sched_snap)
         result.breakdown.wall_seconds = time.perf_counter() - t_wall
         return result
@@ -620,17 +571,9 @@ class ParallelScanSession:
             self._n_workers,
             block_size=block_size if block_size else self._block_size,
         )
-        tasks = [
-            (idx, grid_positions[lo:hi], request_id)
-            for idx, (lo, hi) in enumerate(blocks)
-        ]
-        if self._cost_ordering:
-            costs = position_costs
-            order = {
-                idx: float(costs[lo:hi].sum())
-                for idx, (lo, hi) in enumerate(blocks)
-            }
-            tasks.sort(key=lambda t: -order[t[0]])
+        tasks = self._sorted_tasks(
+            grid_positions, blocks, position_costs, request=request_id
+        )
         tr = obs.get_tracer()
         secs_h = registry.histogram("scheduler.block_seconds")
         est_h = registry.histogram("scheduler.block_est_cost")
@@ -641,8 +584,8 @@ class ParallelScanSession:
             "scheduler",
             args={"blocks": len(tasks), "request": request_id},
         ):
-            for idx, _pos, _rid in tasks:
-                lo, hi = blocks[idx]
+            for task in tasks:
+                lo, hi = blocks[task.idx]
                 est_h.observe(float(position_costs[lo:hi].sum()))
             pending = len(tasks)
             depth_g.set(pending)
@@ -653,7 +596,7 @@ class ParallelScanSession:
             if progress is None:
                 progress = obs.live_slot()
             for idx, part in self._pool.imap_unordered(
-                _scan_request_block, tasks, chunksize=1
+                _scan_block, tasks, chunksize=1
             ):
                 parts[idx] = part
                 pending -= 1
@@ -672,33 +615,12 @@ class ParallelScanSession:
             registry.gauge("scheduler.cost_calibration_blocks").set(
                 self._cost_model.calibration_blocks
             )
-        result = _merge_parts([parts[i] for i in range(len(blocks))])
+        result = merge_scan_results([parts[i] for i in range(len(blocks))])
         result.metrics = obs.merge_snapshots(
             result.metrics, registry.snapshot()
         )
         result.breakdown.wall_seconds = time.perf_counter() - t_wall
         return result
-
-    def close(self) -> None:
-        """Tear down the pool and remove the shared segments."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        if self._store is not None:
-            self._store.close()
-            self._store.unlink()
-            self._store = None
-        if self._segments is not None:
-            self._segments.close()
-            self._segments.unlink()
-            self._segments = None
-
-    def __enter__(self) -> "ParallelScanSession":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -712,12 +634,13 @@ def parallel_scan(
     *,
     n_workers: int,
     mp_context: Optional[str] = None,
-    scheduler: str = "shared",
     block_size: Optional[int] = None,
-    shared_tiles: bool = True,
-    cost_ordering: bool = True,
 ) -> ScanResult:
     """Scan with ``n_workers`` processes; results match a sequential scan.
+
+    The alignment and r² tile band go to shared memory once, and workers
+    pull contiguous grid blocks largest-estimated-cost first (see
+    :class:`ParallelScanSession`).
 
     Parameters
     ----------
@@ -729,20 +652,9 @@ def parallel_scan(
     mp_context:
         Multiprocessing start method (default: platform default, ``fork``
         on Linux).
-    scheduler:
-        ``"shared"`` (default) — zero-copy shared-memory segments, shared
-        r² tile store, dynamic load-balanced block scheduling.
-        ``"pickled"`` — the legacy baseline: one static contiguous chunk
-        per worker, full alignment pickled into every task. Kept for the
-        old-vs-new benchmark comparison.
     block_size:
-        Scheduling-block length in grid positions (``"shared"`` only);
-        default targets :data:`BLOCKS_PER_WORKER` blocks per worker.
-    shared_tiles:
-        Serve fresh r² entries from the shared tile store (``"shared"``
-        only). Disable to measure its contribution.
-    cost_ordering:
-        Dispatch blocks largest-estimated-cost first (``"shared"`` only).
+        Scheduling-block length in grid positions; default targets
+        :data:`BLOCKS_PER_WORKER` blocks per worker.
 
     The returned breakdown's phase totals sum CPU seconds *across
     workers*; its ``wall_seconds`` holds the true elapsed time of this
@@ -750,26 +662,17 @@ def parallel_scan(
     """
     if n_workers < 1:
         raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
-    if scheduler not in ("shared", "pickled"):
-        raise ScanConfigError(
-            f"scheduler must be 'shared' or 'pickled', got {scheduler!r}"
-        )
     t_wall = time.perf_counter()
     if n_workers == 1:
         return OmegaPlusScanner(config).scan(alignment)
-    if scheduler == "pickled":
-        result = _scan_pickled_static(alignment, config, n_workers, mp_context)
-    else:
-        with ParallelScanSession(
-            alignment,
-            config,
-            n_workers=n_workers,
-            mp_context=mp_context,
-            block_size=block_size,
-            shared_tiles=shared_tiles,
-            cost_ordering=cost_ordering,
-        ) as session:
-            result = session.scan()
+    with ParallelScanSession(
+        alignment,
+        config,
+        n_workers=n_workers,
+        mp_context=mp_context,
+        block_size=block_size,
+    ) as session:
+        result = session.scan()
     result.breakdown.wall_seconds = time.perf_counter() - t_wall
     return result
 
@@ -778,70 +681,8 @@ def parallel_scan(
 # streaming: persistent pool over shared-memory chunks
 # ---------------------------------------------------------------------- #
 
-#: Per-worker-process state for streamed scans. Unlike the fixed-alignment
-#: pool above (which attaches once in the initializer), streaming workers
-#: re-attach lazily whenever a task names a chunk they have not mapped
-#: yet, closing the previous chunk's mappings first.
-_STREAM_WORKER_STATE: dict = {
-    "config": None,
-    "spec_name": None,
-    "segments": None,
-    "store": None,
-}
 
-
-def _init_stream_worker(
-    config: OmegaConfig, obs_spec: Optional[obs.ObsSpec] = None
-) -> None:
-    obs.configure_worker(obs_spec)
-    _STREAM_WORKER_STATE.update(
-        config=config, spec_name=None, segments=None, store=None
-    )
-
-
-def _scan_stream_block(task) -> Tuple[int, ScanResult]:
-    """Worker body: attach the task's chunk (if not already mapped) and
-    scan one grid block against it."""
-    alignment_spec, tile_spec, idx, grid_block, valid_mask = task
-    state = _STREAM_WORKER_STATE
-    config = state["config"]
-    if config is None:
-        raise RuntimeError("streaming worker was not initialized")
-    if state["spec_name"] != alignment_spec.matrix_name:
-        segments = SharedAlignmentSegments.attach(alignment_spec)
-        store = (
-            SharedR2TileStore.attach(tile_spec, segments.alignment)
-            if tile_spec is not None
-            else None
-        )
-        if state["segments"] is not None:
-            state["segments"].close()
-        if state["store"] is not None:
-            state["store"].close()
-        state.update(
-            segments=segments, store=store, spec_name=alignment_spec.matrix_name
-        )
-    segments, store = state["segments"], state["store"]
-    block_fn = store.block if store is not None else None
-    scanner = _FixedGridScanner(
-        config, grid_block, block_fn=block_fn, valid_mask=valid_mask
-    )
-    if store is not None:
-        computed0 = store.tile_entries_computed
-        reused0 = store.tile_entries_reused
-    tr = obs.get_tracer()
-    with tr.span("scan_block", "block", args={"block": idx}):
-        result = scanner.scan(segments.alignment)
-    if store is not None:
-        result.reuse.tile_entries_computed += (
-            store.tile_entries_computed - computed0
-        )
-        result.reuse.tile_entries_reused += store.tile_entries_reused - reused0
-    tr.flush()
-    return idx, result
-
-
-class StreamingScanSession:
+class StreamingScanSession(_SharedPool):
     """Streaming counterpart of :class:`ParallelScanSession`: one
     persistent worker pool scans a *sequence* of shared-memory chunks.
 
@@ -859,30 +700,18 @@ class StreamingScanSession:
         *,
         n_workers: int,
         mp_context: Optional[str] = None,
-        shared_tiles: bool = True,
     ):
         if n_workers < 1:
             raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
         self._config = config
         self._n_workers = n_workers
         self._mp_context = mp_context
-        self._shared_tiles = shared_tiles
-        self._pool = None
-        self._segments: Optional[SharedAlignmentSegments] = None
-        self._store: Optional[SharedR2TileStore] = None
 
     def start(self) -> "StreamingScanSession":
         """Fork the worker pool (idempotent)."""
         if self._pool is None:
-            ctx = (
-                mp.get_context(self._mp_context)
-                if self._mp_context
-                else mp.get_context()
-            )
-            self._pool = ctx.Pool(
-                processes=self._n_workers,
-                initializer=_init_stream_worker,
-                initargs=(self._config, obs.current_spec()),
+            self._fork(
+                _WorkerSetup(config=self._config, obs_spec=obs.current_spec())
             )
         return self
 
@@ -910,26 +739,22 @@ class StreamingScanSession:
         with tr.span("shm_publish", "shm", args={"sites": int(chunk.n_sites)}):
             self._segments = SharedAlignmentSegments.create(chunk)
         try:
-            if self._shared_tiles and max_pair_span >= 1:
+            if max_pair_span >= 1:
                 with tr.span("shm_publish_tiles", "shm"):
                     self._store = SharedR2TileStore.create(
                         chunk,
                         max_pair_span=max_pair_span,
                         backend=self._config.ld_backend,
                     )
-            alignment_spec = self._segments.spec
-            tile_spec = self._store.spec if self._store is not None else None
             tasks = [
-                (alignment_spec, tile_spec, idx, grid_block, mask)
+                self._block_task(idx, grid_block, valid_mask=mask)
                 for idx, grid_block, mask in block_tasks
             ]
             registry = obs.get_metrics()
             registry.counter("scheduler.blocks_dispatched").inc(len(tasks))
             depth_g = registry.gauge("scheduler.queue_depth")
             secs_h = registry.histogram("scheduler.block_seconds")
-            it = self._pool.imap_unordered(
-                _scan_stream_block, tasks, chunksize=1
-            )
+            it = self._pool.imap_unordered(_scan_block, tasks, chunksize=1)
             prefetched = prefetch() if prefetch is not None else None
             parts = {}
             pending = len(tasks)
@@ -952,34 +777,7 @@ class StreamingScanSession:
             return parts, prefetched
         finally:
             with tr.span("shm_unpublish", "shm"):
-                if self._store is not None:
-                    self._store.close()
-                    self._store.unlink()
-                    self._store = None
-                self._segments.close()
-                self._segments.unlink()
-                self._segments = None
-
-    def close(self) -> None:
-        """Tear down the pool and any shared segments still live."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        if self._store is not None:
-            self._store.close()
-            self._store.unlink()
-            self._store = None
-        if self._segments is not None:
-            self._segments.close()
-            self._segments.unlink()
-            self._segments = None
-
-    def __enter__(self) -> "StreamingScanSession":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+                self._unpublish()
 
 
 def _block_spans(plans, blocks) -> List[Optional[Tuple[int, int]]]:
@@ -1035,22 +833,18 @@ def _iter_scan_stream_parallel(
     *,
     snp_budget: int,
     n_workers: int,
-    scheduler: str,
     block_size: Optional[int],
     mp_context: Optional[str],
-    shared_tiles: bool,
-    cost_ordering: bool,
 ):
     """Parallel streamed scan (driven via
     :func:`repro.core.scan.iter_scan_stream`), yielding one merged
     :class:`ScanResult` part per chunk.
 
     The grid partition is *identical* to the in-memory scheduler's
-    (:func:`make_blocks` for ``"shared"``, :func:`split_grid` for
-    ``"pickled"``), each worker computes its block from a chunk covering
-    all of the block's ω regions, and globally invalid positions are
-    masked — so every block's records are bitwise equal to the in-memory
-    run's, whichever scheduler is chosen.
+    (:func:`make_blocks`), each worker computes its block from a chunk
+    covering all of the block's ω regions, and globally invalid positions
+    are masked — so every block's records are bitwise equal to the
+    in-memory run's.
     """
     positions = source.positions
     tr = obs.get_tracer()
@@ -1058,17 +852,15 @@ def _iter_scan_stream_parallel(
     with tr.phase(_plan_bd, "plan", "phase"):
         grid_positions = config.grid.positions_from(positions)
         plans = build_plans_from_positions(positions, config.grid)
-        if scheduler == "pickled":
-            blocks = split_grid(grid_positions.size, n_workers)
-        else:
-            blocks = make_blocks(
-                grid_positions.size, n_workers, block_size=block_size
-            )
+        blocks = make_blocks(
+            grid_positions.size, n_workers, block_size=block_size
+        )
         valid = np.array([p.valid for p in plans], dtype=bool)
         costs = get_cost_model().position_costs(plans)
         spans = _block_spans(plans, blocks)
         chunk_descs = _group_stream_chunks(spans, snp_budget)
     plan_seconds = _plan_bd.totals["plan"]
+    block_cost = [float(costs[lo:hi].sum()) for lo, hi in blocks]
 
     def ingest_next(window_iter):
         """Pull the next chunk, timed and traced on the ingest track."""
@@ -1094,14 +886,7 @@ def _iter_scan_stream_parallel(
 
     def synth_part(b: int) -> ScanResult:
         lo, hi = blocks[b]
-        size = hi - lo
-        return ScanResult(
-            positions=grid_positions[lo:hi].copy(),
-            omegas=np.zeros(size),
-            left_borders_bp=np.full(size, np.nan),
-            right_borders_bp=np.full(size, np.nan),
-            n_evaluations=np.zeros(size, dtype=np.int64),
-        )
+        return _unscanned_result(grid_positions[lo:hi])
 
     def chunk_max_span(data_blocks: List[int]) -> int:
         return max(
@@ -1114,19 +899,16 @@ def _iter_scan_stream_parallel(
             default=0,
         )
 
-    def gen_shared():
+    def gen():
         window_iter = source.windows(
             [(lo, hi) for lo, hi, _ in chunk_descs]
         )
         session = StreamingScanSession(
-            config,
-            n_workers=n_workers,
-            mp_context=mp_context,
-            shared_tiles=shared_tiles,
+            config, n_workers=n_workers, mp_context=mp_context
         )
         try:
             if not chunk_descs:
-                part = _merge_parts(
+                part = merge_scan_results(
                     [synth_part(b) for b in range(len(blocks))]
                 )
                 part.breakdown.add("plan", plan_seconds)
@@ -1135,15 +917,9 @@ def _iter_scan_stream_parallel(
             chunk, ingest_seconds = ingest_next(window_iter)
             for ci, (_lo, _hi, data_blocks) in enumerate(chunk_descs):
                 tasks = []
-                for b in data_blocks:
+                for b in sorted(data_blocks, key=lambda b: -block_cost[b]):
                     lo, hi = blocks[b]
                     tasks.append((b, grid_positions[lo:hi], valid[lo:hi]))
-                if cost_ordering:
-                    tasks.sort(
-                        key=lambda t: -float(
-                            costs[blocks[t[0]][0] : blocks[t[0]][1]].sum()
-                        )
-                    )
                 prefetch = None
                 if ci + 1 < len(chunk_descs):
 
@@ -1152,12 +928,7 @@ def _iter_scan_stream_parallel(
 
                 block_costs = None
                 if obs.live_slot() is not None:
-                    block_costs = {
-                        b: float(
-                            costs[blocks[b][0] : blocks[b][1]].sum()
-                        )
-                        for b in data_blocks
-                    }
+                    block_costs = {b: block_cost[b] for b in data_blocks}
                 with obs.scoped_metrics() as registry:
                     parts, prefetched = session.scan_chunk(
                         chunk,
@@ -1172,7 +943,7 @@ def _iter_scan_stream_parallel(
                     )
                     parent_snap = registry.snapshot()
                 cov_lo, cov_hi = coverage[ci]
-                merged = _merge_parts(
+                merged = merge_scan_results(
                     [
                         parts[b] if b in parts else synth_part(b)
                         for b in range(cov_lo, cov_hi)
@@ -1191,88 +962,4 @@ def _iter_scan_stream_parallel(
             window_iter.close()
             session.close()
 
-    def gen_pickled():
-        window_iter = source.windows(
-            [(lo, hi) for lo, hi, _ in chunk_descs]
-        )
-        ctx = (
-            mp.get_context(mp_context) if mp_context else mp.get_context()
-        )
-        pool = None
-        try:
-            if not chunk_descs:
-                part = _merge_parts(
-                    [synth_part(b) for b in range(len(blocks))]
-                )
-                part.breakdown.add("plan", plan_seconds)
-                yield part
-                return
-            pool = ctx.Pool(processes=n_workers)
-            obs_spec = obs.current_spec()
-            chunk, ingest_seconds = ingest_next(window_iter)
-            for ci, (_lo, _hi, data_blocks) in enumerate(chunk_descs):
-                tasks = []
-                for b in data_blocks:
-                    lo, hi = blocks[b]
-                    tasks.append(
-                        (
-                            b,
-                            _WorkerTask(
-                                matrix=chunk.matrix,
-                                positions=chunk.positions,
-                                length=chunk.length,
-                                config=config,
-                                grid_positions=grid_positions[lo:hi],
-                                valid_mask=valid[lo:hi],
-                                obs_spec=obs_spec,
-                            ),
-                        )
-                    )
-                with obs.scoped_metrics() as registry:
-                    registry.counter("scheduler.blocks_dispatched").inc(
-                        len(tasks)
-                    )
-                    it = pool.imap_unordered(
-                        _run_stream_chunk, tasks, chunksize=1
-                    )
-                    prefetched = None
-                    if ci + 1 < len(chunk_descs):
-                        prefetched = ingest_next(window_iter)
-                    parts = {}
-                    for idx, part in it:
-                        parts[idx] = part
-                    registry.counter("stream.chunks").inc()
-                    registry.gauge("stream.chunk_rss_bytes").set(
-                        obs.current_rss_bytes()
-                    )
-                    parent_snap = registry.snapshot()
-                cov_lo, cov_hi = coverage[ci]
-                merged = _merge_parts(
-                    [
-                        parts[b] if b in parts else synth_part(b)
-                        for b in range(cov_lo, cov_hi)
-                    ]
-                )
-                merged.metrics = obs.merge_snapshots(
-                    merged.metrics, parent_snap
-                )
-                merged.breakdown.add("ingest", ingest_seconds)
-                if ci == 0:
-                    merged.breakdown.add("plan", plan_seconds)
-                yield merged
-                if prefetched is not None:
-                    chunk, ingest_seconds = prefetched
-        finally:
-            window_iter.close()
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-
-    return gen_shared() if scheduler == "shared" else gen_pickled()
-
-
-def _run_stream_chunk(task) -> Tuple[int, ScanResult]:
-    """Pickled-scheduler streamed worker body: an indexed
-    :func:`_run_chunk`."""
-    idx, wtask = task
-    return idx, _run_chunk(wtask)
+    return gen()

@@ -699,11 +699,8 @@ def iter_scan_stream(
     *,
     snp_budget: int,
     n_workers: int = 1,
-    scheduler: str = "shared",
     block_size: Optional[int] = None,
     mp_context: Optional[str] = None,
-    shared_tiles: bool = True,
-    cost_ordering: bool = True,
     grid_positions: Optional[np.ndarray] = None,
     dp_seed: Optional[DpSeed] = None,
 ) -> Iterator[ScanResult]:
@@ -721,12 +718,10 @@ def iter_scan_stream(
     snp_budget:
         Maximum SNPs resident per chunk — the peak-memory knob. Must be
         at least the widest ω region (a region cannot straddle chunks).
-    n_workers, scheduler, block_size, mp_context, shared_tiles,
-    cost_ordering:
+    n_workers, block_size, mp_context:
         As in :func:`~repro.core.parallel.parallel_scan`; with
         ``n_workers > 1`` the chunks are scanned by a persistent worker
-        pool (each chunk published once to shared memory under the
-        ``"shared"`` scheduler).
+        pool, each chunk published once to shared memory.
     grid_positions:
         Explicit ω evaluation positions overriding the equidistant
         derivation from ``config.grid`` (window geometry is kept). Plans
@@ -757,10 +752,6 @@ def iter_scan_stream(
         raise ScanConfigError(f"snp_budget must be >= 2, got {snp_budget}")
     if n_workers < 1:
         raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
-    if scheduler not in ("shared", "pickled"):
-        raise ScanConfigError(
-            f"scheduler must be 'shared' or 'pickled', got {scheduler!r}"
-        )
     if source.n_sites < 2:
         raise ScanConfigError("scanning requires at least 2 SNPs")
     if grid_positions is not None:
@@ -783,11 +774,8 @@ def iter_scan_stream(
             config,
             snp_budget=snp_budget,
             n_workers=n_workers,
-            scheduler=scheduler,
             block_size=block_size,
             mp_context=mp_context,
-            shared_tiles=shared_tiles,
-            cost_ordering=cost_ordering,
         )
     return _iter_stream_sequential(source, config, snp_budget, dp_seed)
 
@@ -798,17 +786,15 @@ def scan_stream(
     *,
     snp_budget: int,
     n_workers: int = 1,
-    scheduler: str = "shared",
     block_size: Optional[int] = None,
     mp_context: Optional[str] = None,
-    shared_tiles: bool = True,
-    cost_ordering: bool = True,
     grid_positions: Optional[np.ndarray] = None,
     dp_seed: Optional[DpSeed] = None,
 ) -> ScanResult:
     """Scan a streaming source chunk by chunk; the merged report is
     bitwise identical to scanning the fully loaded alignment the same way
-    (sequentially, or with the same parallel scheduler).
+    (sequentially, or in parallel with the same ``n_workers`` and
+    ``block_size``).
 
     See :func:`iter_scan_stream` for parameters; this wrapper drains the
     chunk iterator and merges the parts.
@@ -820,11 +806,8 @@ def scan_stream(
             config,
             snp_budget=snp_budget,
             n_workers=n_workers,
-            scheduler=scheduler,
             block_size=block_size,
             mp_context=mp_context,
-            shared_tiles=shared_tiles,
-            cost_ordering=cost_ordering,
             grid_positions=grid_positions,
             dp_seed=dp_seed,
         )

@@ -205,8 +205,6 @@ class ScanService:
         max_concurrent: int = 4,
         block_size: Optional[int] = None,
         block_lru_bytes: int = DEFAULT_BLOCK_LRU_BYTES,
-        shared_tiles: bool = True,
-        cost_ordering: bool = True,
         ledger_path: Optional[str] = None,
     ):
         if queue_limit < 1:
@@ -223,8 +221,6 @@ class ScanService:
             n_workers=n_workers,
             mp_context=mp_context,
             block_size=block_size,
-            shared_tiles=shared_tiles,
-            cost_ordering=cost_ordering,
             block_lru_bytes=block_lru_bytes,
         )
         self.admission = AdmissionController(alignment, config)

@@ -5,7 +5,7 @@ One manifest file describes one sharded workload:
 * line 1 — a ``header`` record: ledger version, the scan configuration
   (grid geometry, eps, LD backend, reuse switches, batching, backend),
   the per-shard streaming parameters (``snp_budget``,
-  ``workers_per_shard``, ``scheduler``) and the sidecar directory name;
+  ``workers_per_shard``) and the sidecar directory name;
 * one ``unit`` record per scannable input unit (a VCF chromosome or an
   ms replicate), carrying the index-pass facts needed to re-derive the
   unit's scan plan (``n_sites``, ``n_samples``, ``length``) — or a
@@ -130,7 +130,6 @@ class Manifest:
     config: OmegaConfig
     snp_budget: int
     workers_per_shard: int = 1
-    scheduler: str = "shared"
     units: List[UnitSpec] = field(default_factory=list)
     shards: List[ShardRecord] = field(default_factory=list)
 
@@ -174,7 +173,6 @@ class Manifest:
                     "config": _config_to_json(self.config),
                     "snp_budget": self.snp_budget,
                     "workers_per_shard": self.workers_per_shard,
-                    "scheduler": self.scheduler,
                 },
                 sort_keys=True,
             )
@@ -242,8 +240,22 @@ class Manifest:
             config=_config_from_json(header.get("config", {})),
             snp_budget=int(header["snp_budget"]),
             workers_per_shard=int(header["workers_per_shard"]),
-            scheduler=header["scheduler"],
         )
+        # Older ledgers record the within-shard scheduler. Parallel
+        # shards cut by the retired static-chunk scheduler anchor their
+        # DP at different positions than make_blocks does, so finishing
+        # them now would break the bitwise-resume contract; sequential
+        # shards never used a scheduler.
+        if (
+            header.get("scheduler") == "pickled"
+            and manifest.workers_per_shard > 1
+        ):
+            raise ManifestError(
+                f"manifest {path!r} was planned for the removed 'pickled' "
+                f"scheduler with workers_per_shard="
+                f"{manifest.workers_per_shard}; its shards cannot be "
+                f"resumed bitwise, so plan a new manifest"
+            )
         for k, rec in enumerate(records[1:], start=2):
             kind = rec.pop("kind", None)
             try:

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from repro.core.grid import GridSpec
 from repro.core.parallel import (
     ParallelScanSession,
-    _FixedGridScanner,
     make_blocks,
     parallel_scan,
-    split_grid,
 )
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
 from repro.datasets.alignment import SHM_NAME_PREFIX
@@ -23,34 +21,6 @@ from repro.errors import ScanConfigError
 
 def _shm_entries():
     return set(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))
-
-
-class TestSplitGrid:
-    def test_even_split(self):
-        assert split_grid(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
-    def test_uneven_split(self):
-        chunks = split_grid(10, 3)
-        assert chunks == [(0, 4), (4, 7), (7, 10)]
-
-    def test_more_workers_than_positions(self):
-        chunks = split_grid(2, 5)
-        assert chunks == [(0, 1), (1, 2)]
-
-    def test_single_worker(self):
-        assert split_grid(7, 1) == [(0, 7)]
-
-    def test_covers_everything_no_overlap(self):
-        for n, w in [(17, 4), (100, 7), (3, 3)]:
-            chunks = split_grid(n, w)
-            flat = [k for a, b in chunks for k in range(a, b)]
-            assert flat == list(range(n))
-
-    def test_invalid(self):
-        with pytest.raises(ScanConfigError):
-            split_grid(0, 2)
-        with pytest.raises(ScanConfigError):
-            split_grid(5, 0)
 
 
 class TestMakeBlocks:
@@ -73,10 +43,10 @@ class TestMakeBlocks:
     def test_explicit_block_size(self):
         assert make_blocks(10, 3, block_size=4) == [(0, 4), (4, 8), (8, 10)]
 
-    def test_finer_than_split_grid(self):
+    def test_more_blocks_than_workers(self):
         """Dynamic scheduling needs more blocks than workers so the pool
         queue can rebalance."""
-        assert len(make_blocks(64, 4)) > len(split_grid(64, 4))
+        assert len(make_blocks(64, 4)) > 4
 
     def test_invalid(self):
         with pytest.raises(ScanConfigError):
@@ -116,8 +86,8 @@ class TestParallelScan:
         np.testing.assert_allclose(two.omegas, four.omegas, rtol=1e-9)
 
     def test_more_workers_than_positions(self, block_alignment):
-        """split_grid drops empty chunks, so oversubscription must still
-        produce the full, sequential-identical report."""
+        """make_blocks never emits an empty block, so oversubscription
+        must still produce the full, sequential-identical report."""
         config = OmegaConfig(
             grid=GridSpec(n_positions=3, max_window=block_alignment.length / 3)
         )
@@ -162,32 +132,56 @@ class TestParallelScan:
 
 
 class TestFixedGridScanner:
-    def test_empty_chunk(self, block_alignment):
-        """A zero-position chunk must scan to an empty result instead of
+    """The worker body scans a block's explicit grid positions; these run
+    it in-process against a published alignment."""
+
+    @pytest.fixture
+    def run_block(self, block_alignment, monkeypatch):
+        import repro.core.parallel as par
+        from repro.datasets.alignment import SharedAlignmentSegments
+
+        monkeypatch.setattr(par, "_WORKER_STATE", dict(par._WORKER_STATE))
+        published = SharedAlignmentSegments.create(block_alignment)
+
+        def run(config, grid_block):
+            par._init_worker(par._WorkerSetup(config=config))
+            task = par._BlockTask(
+                idx=7, grid_block=grid_block, alignment_spec=published.spec
+            )
+            idx, result = par._scan_block(task)
+            assert idx == 7
+            return result
+
+        yield run
+        if par._WORKER_STATE["segments"] is not None:
+            par._WORKER_STATE["segments"].close()
+        published.close()
+        published.unlink()
+
+    def test_empty_chunk(self, block_alignment, run_block):
+        """A zero-position block must scan to an empty result instead of
         tripping GridSpec's n_positions >= 1 validation."""
         config = OmegaConfig(
             grid=GridSpec(n_positions=4, max_window=block_alignment.length / 3)
         )
-        scanner = _FixedGridScanner(config, np.zeros(0))
-        result = scanner.scan(block_alignment)
+        result = run_block(config, np.zeros(0))
         assert len(result) == 0
         assert result.n_evaluations.dtype == np.int64
         assert result.total_evaluations == 0
 
-    def test_chunk_positions_used_verbatim(self, block_alignment):
+    def test_chunk_positions_used_verbatim(self, block_alignment, run_block):
         config = OmegaConfig(
             grid=GridSpec(n_positions=6, max_window=block_alignment.length / 3)
         )
         all_positions = config.grid.positions(block_alignment)
-        scanner = _FixedGridScanner(config, all_positions[2:5])
-        result = scanner.scan(block_alignment)
+        result = run_block(config, all_positions[2:5])
         np.testing.assert_allclose(result.positions, all_positions[2:5])
 
 
 class TestParallelEquivalenceProperty:
     """parallel_scan must be observationally identical to the sequential
-    scanner for any grid size / worker count / scheduler / block size /
-    LD backend."""
+    scanner for any grid size / worker count / block size / LD
+    backend."""
 
     _ALN = haplotype_block_alignment(40, 120, seed=202)
 
@@ -195,12 +189,11 @@ class TestParallelEquivalenceProperty:
         n_positions=st.integers(2, 10),
         n_workers=st.integers(2, 6),
         backend=st.sampled_from(["gemm", "packed", "auto"]),
-        scheduler=st.sampled_from(["shared", "pickled"]),
         block_size=st.one_of(st.none(), st.integers(1, 5)),
     )
     @settings(max_examples=8, deadline=None)
     def test_matches_sequential(
-        self, n_positions, n_workers, backend, scheduler, block_size
+        self, n_positions, n_workers, backend, block_size
     ):
         aln = self._ALN
         config = OmegaConfig(
@@ -212,7 +205,6 @@ class TestParallelEquivalenceProperty:
             aln,
             config,
             n_workers=n_workers,
-            scheduler=scheduler,
             block_size=block_size,
         )
         np.testing.assert_array_equal(par.positions, seq.positions)
@@ -259,24 +251,6 @@ class TestSharedScheduler:
         par = parallel_scan(block_alignment, config, n_workers=2)
         tiles = par.reuse.tile_entries_computed + par.reuse.tile_entries_reused
         assert tiles > 0
-        off = parallel_scan(
-            block_alignment, config, n_workers=2, shared_tiles=False
-        )
-        assert off.reuse.tile_entries_computed == 0
-        assert off.reuse.tile_entries_reused == 0
-
-    def test_cost_ordering_off_still_matches(self, block_alignment, config):
-        seq = OmegaPlusScanner(config).scan(block_alignment)
-        par = parallel_scan(
-            block_alignment, config, n_workers=2, cost_ordering=False
-        )
-        np.testing.assert_allclose(par.omegas, seq.omegas, rtol=1e-9)
-
-    def test_rejects_unknown_scheduler(self, block_alignment, config):
-        with pytest.raises(ScanConfigError):
-            parallel_scan(
-                block_alignment, config, n_workers=2, scheduler="threads"
-            )
 
     def test_no_segments_leak_after_scan(self, block_alignment, config):
         before = _shm_entries()
@@ -475,6 +449,22 @@ class TestScanPositions:
             snap["histograms"]["scheduler.block_seconds"]["count"]
             == snap["counters"]["scheduler.blocks_dispatched"]
         )
+
+    def test_worker_failure_raises_and_cleans_up(
+        self, block_alignment, config, monkeypatch
+    ):
+        """Service requests run the same worker body: a crash inside it
+        surfaces from scan_positions and leaves no segment behind."""
+        import repro.core.parallel as parallel_mod
+
+        before = _shm_entries()
+        monkeypatch.setattr(parallel_mod, "_scan_block", _boom)
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            with ParallelScanSession(
+                block_alignment, config, n_workers=2
+            ) as session:
+                session.scan_positions(np.linspace(20.0, 100.0, 6))
+        assert _shm_entries() == before
 
     def test_rejects_empty_positions(self, block_alignment, config):
         with ParallelScanSession(

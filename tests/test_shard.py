@@ -118,7 +118,6 @@ class TestManifestLedger:
         loaded = Manifest.load(manifest.path)
         assert loaded.snp_budget == manifest.snp_budget
         assert loaded.workers_per_shard == manifest.workers_per_shard
-        assert loaded.scheduler == manifest.scheduler
         assert loaded.config == manifest.config
         assert loaded.units == manifest.units
         assert loaded.shards == manifest.shards
@@ -144,6 +143,43 @@ class TestManifestLedger:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ManifestError, match="version 99"):
             Manifest.load(manifest.path)
+
+    @staticmethod
+    def _edit_header(manifest, **fields):
+        lines = open(manifest.path, encoding="ascii").read().splitlines()
+        header = json.loads(lines[0])
+        header.update(fields)
+        lines[0] = json.dumps(header)
+        with open(manifest.path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return header
+
+    def test_header_without_scheduler_loads(self, multi_ms, tmp_path):
+        manifest = self._manifest(multi_ms, tmp_path, workers_per_shard=2)
+        assert "scheduler" not in self._edit_header(manifest)
+        assert Manifest.load(manifest.path).shards == manifest.shards
+
+    def test_shared_scheduler_header_loads(self, multi_ms, tmp_path):
+        """Ledgers written before the scheduler key was dropped still
+        resume when they name the shared-memory scheduler."""
+        manifest = self._manifest(multi_ms, tmp_path, workers_per_shard=2)
+        self._edit_header(manifest, scheduler="shared")
+        assert Manifest.load(manifest.path).shards == manifest.shards
+
+    def test_pickled_parallel_header_rejected(self, multi_ms, tmp_path):
+        """Parallel shards planned for the static-chunk scheduler would
+        resume with different DP anchors, so loading them must fail."""
+        manifest = self._manifest(multi_ms, tmp_path, workers_per_shard=2)
+        self._edit_header(manifest, scheduler="pickled")
+        with pytest.raises(ManifestError, match="pickled"):
+            Manifest.load(manifest.path)
+
+    def test_pickled_sequential_header_loads(self, multi_ms, tmp_path):
+        """Sequential shards never used a scheduler, so the old key is
+        harmless there."""
+        manifest = self._manifest(multi_ms, tmp_path)
+        self._edit_header(manifest, scheduler="pickled")
+        assert Manifest.load(manifest.path).shards == manifest.shards
 
     def test_unknown_record_kind(self, multi_ms, tmp_path):
         manifest = self._manifest(multi_ms, tmp_path)
@@ -251,7 +287,6 @@ class TestPlanner:
                 dict(snp_budget=BUDGET, workers_per_shard=0),
                 "workers_per_shard",
             ),
-            (dict(snp_budget=BUDGET, scheduler="magic"), "scheduler"),
             (
                 dict(snp_budget=BUDGET, target_shard_cost=-1.0),
                 "target_shard_cost",

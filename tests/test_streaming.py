@@ -3,8 +3,8 @@
 The load-bearing property: ``scan_stream`` over any chunking must be
 *bitwise* identical to the corresponding in-memory scan — sequential
 streamed vs :class:`OmegaPlusScanner` (including reuse counters, which
-are deterministic there), parallel streamed vs ``parallel_scan`` under
-the same scheduler (arrays only: the shared tile-store counters race
+are deterministic there), parallel streamed vs ``parallel_scan`` with
+the same blocks (arrays only: the shared tile-store counters race
 benignly between workers).
 """
 
@@ -21,7 +21,6 @@ from repro.core.parallel import (
     _group_stream_chunks,
     make_blocks,
     parallel_scan,
-    split_grid,
 )
 from repro.core.scan import (
     OmegaConfig,
@@ -484,18 +483,15 @@ class TestSequentialStreamEquivalence:
 
 class TestParallelStreamEquivalence:
     """Streamed parallel scan == in-memory parallel scan with the same
-    scheduler, bitwise on every per-position array. Reuse counters are
+    blocks, bitwise on every per-position array. Reuse counters are
     excluded: the shared tile-store publish counters race benignly
     between workers in both runs."""
 
     _ALN = haplotype_block_alignment(40, 160, seed=77)
 
-    def _budget_for(self, config, scheduler, n_workers, block_size, extra):
+    def _budget_for(self, config, n_workers, block_size, extra):
         plans = build_plans(self._ALN, config.grid)
-        if scheduler == "pickled":
-            blocks = split_grid(len(plans), n_workers)
-        else:
-            blocks = make_blocks(len(plans), n_workers, block_size=block_size)
+        blocks = make_blocks(len(plans), n_workers, block_size=block_size)
         spans = _block_spans(plans, blocks)
         widest = max((hi - lo for span in spans if span for lo, hi in [span]),
                      default=2)
@@ -504,32 +500,24 @@ class TestParallelStreamEquivalence:
     @given(
         n_positions=st.integers(3, 10),
         n_workers=st.integers(2, 3),
-        scheduler=st.sampled_from(["shared", "pickled"]),
         block_size=st.one_of(st.none(), st.integers(2, 5)),
         extra=st.integers(0, 120),
     )
     @settings(max_examples=6, deadline=None)
     def test_bitwise_identical(
-        self, n_positions, n_workers, scheduler, block_size, extra
+        self, n_positions, n_workers, block_size, extra
     ):
         aln = self._ALN
         config = _config(aln, n_positions)
-        budget = self._budget_for(
-            config, scheduler, n_workers, block_size, extra
-        )
+        budget = self._budget_for(config, n_workers, block_size, extra)
         ref = parallel_scan(
-            aln,
-            config,
-            n_workers=n_workers,
-            scheduler=scheduler,
-            block_size=block_size,
+            aln, config, n_workers=n_workers, block_size=block_size
         )
         streamed = scan_stream(
             aln,
             config,
             snp_budget=budget,
             n_workers=n_workers,
-            scheduler=scheduler,
             block_size=block_size,
         )
         _assert_results_equal(streamed, ref)
@@ -539,17 +527,10 @@ class TestParallelStreamEquivalence:
         persistent pool and still match the in-memory run bitwise."""
         aln = self._ALN
         config = _config(aln, 10)
-        budget = self._budget_for(config, "shared", 2, 3, 0)
-        ref = parallel_scan(
-            aln, config, n_workers=2, scheduler="shared", block_size=3
-        )
+        budget = self._budget_for(config, 2, 3, 0)
+        ref = parallel_scan(aln, config, n_workers=2, block_size=3)
         streamed = scan_stream(
-            aln,
-            config,
-            snp_budget=budget,
-            n_workers=2,
-            scheduler="shared",
-            block_size=3,
+            aln, config, snp_budget=budget, n_workers=2, block_size=3
         )
         _assert_results_equal(streamed, ref)
 
@@ -566,14 +547,6 @@ class TestScanStreamValidation:
         config = _config(self._ALN, 4)
         with pytest.raises(ScanConfigError, match="snp_budget"):
             scan_stream(self._ALN, config, snp_budget=1)
-
-    def test_rejects_bad_scheduler(self):
-        config = _config(self._ALN, 4)
-        with pytest.raises(ScanConfigError, match="scheduler"):
-            scan_stream(
-                self._ALN, config, snp_budget=64, n_workers=2,
-                scheduler="threads",
-            )
 
     def test_rejects_zero_workers(self):
         config = _config(self._ALN, 4)
@@ -614,7 +587,6 @@ class TestStreamLeaks:
             config,
             snp_budget=budget,
             n_workers=2,
-            scheduler="shared",
             block_size=3,
         )
         next(it)
@@ -626,7 +598,7 @@ class TestStreamLeaks:
 
         # The pool forks after the patch, so workers inherit the broken
         # task body and the parent must still unlink every segment.
-        monkeypatch.setattr(par, "_scan_stream_block", _boom)
+        monkeypatch.setattr(par, "_scan_block", _boom)
         config, budget = self._config_and_budget()
         before = _shm_entries()
         with pytest.raises(RuntimeError, match="injected"):
@@ -635,23 +607,6 @@ class TestStreamLeaks:
                 config,
                 snp_budget=budget,
                 n_workers=2,
-                scheduler="shared",
-            )
-        assert _shm_entries() == before
-
-    def test_pickled_worker_failure_propagates(self, monkeypatch):
-        import repro.core.parallel as par
-
-        monkeypatch.setattr(par, "_run_stream_chunk", _boom)
-        config, budget = self._config_and_budget()
-        before = _shm_entries()
-        with pytest.raises(RuntimeError, match="injected"):
-            scan_stream(
-                self._ALN,
-                config,
-                snp_budget=budget,
-                n_workers=2,
-                scheduler="pickled",
             )
         assert _shm_entries() == before
 
