@@ -158,15 +158,16 @@ class FPGAOmegaEngine:
                 registry.counter("fpga.host_batches").inc()
                 for i, (k, off) in enumerate(pending):
                     hw, sw = 2 * i, 2 * i + 1
-                    # Merge the two partition maxima exactly as the
-                    # comparator stage + host reduction did per position:
-                    # hardware's candidate wins ties (it is compared
-                    # first), and a partition with no scores is never a
-                    # candidate.
+                    # Merge the two partition maxima with np.argmax's
+                    # rule over the whole grid, whose first rows are the
+                    # hardware's: hardware's candidate wins ties, a
+                    # software NaN beats a hardware number, and a
+                    # partition with no scores is never a candidate.
                     best = hw
+                    h, w = res.omegas[hw], res.omegas[sw]
                     if res.n_evaluations[hw] == 0 or (
                         res.n_evaluations[sw] > 0
-                        and res.omegas[sw] > res.omegas[hw]
+                        and (w > h or (w != w and h == h))
                     ):
                         best = sw
                     omegas[k] = res.omegas[best]

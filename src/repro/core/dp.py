@@ -136,6 +136,11 @@ class SumMatrix:
         """Region width W."""
         return self._w
 
+    @property
+    def prefix(self) -> np.ndarray:
+        """The ``(W+1, W+1)`` prefix block (a view; do not write)."""
+        return self._prefix
+
     def _block(self, r0: int, r1: int, c0: int, c1: int) -> float:
         """Rectangle sum of the symmetric r² matrix over rows [r0..r1],
         cols [c0..c1], inclusive indices."""

@@ -231,27 +231,33 @@ def build_plans_from_positions(
     """
     pos = np.asarray(site_positions)
     n_sites = pos.size
+    centres = spec.positions_from(pos)
+    # Every lookup runs once over the whole grid (searchsorted on an
+    # array gives the per-element indices a scalar call would).
+    # Split: last SNP at or left of the grid position. Positions at or
+    # beyond the last SNP clamp so a right window can still exist.
+    splits = np.searchsorted(pos, centres, side="right") - 1
+    splits = np.maximum(0, np.minimum(splits, n_sites - 2))
+    los = np.searchsorted(pos, centres - spec.max_window, side="left")
+    his = np.searchsorted(pos, centres + spec.max_window, side="right") - 1
+    if spec.min_window > 0.0:
+        left_maxes = (
+            np.searchsorted(pos, centres - spec.min_window, side="right") - 1
+        )
+        right_mins = np.searchsorted(
+            pos, centres + spec.min_window, side="left"
+        )
+    else:
+        left_maxes, right_mins = splits, splits + 1
     plans: List[PositionPlan] = []
-    for centre in spec.positions_from(pos):
-        # Split: last SNP at or left of the grid position. Positions at or
-        # beyond the last SNP clamp so a right window can still exist.
-        c = int(np.searchsorted(pos, centre, side="right")) - 1
-        c = max(0, min(c, n_sites - 2))
-
-        lo = int(np.searchsorted(pos, centre - spec.max_window, side="left"))
-        hi = int(np.searchsorted(pos, centre + spec.max_window, side="right")) - 1
-
-        if spec.min_window > 0.0:
-            left_max = (
-                int(np.searchsorted(pos, centre - spec.min_window, side="right"))
-                - 1
-            )
-            right_min = int(
-                np.searchsorted(pos, centre + spec.min_window, side="left")
-            )
-        else:
-            left_max, right_min = c, c + 1
-
+    for centre, c, lo, hi, left_max, right_min in zip(
+        centres.tolist(),
+        splits.tolist(),
+        los.tolist(),
+        his.tolist(),
+        left_maxes.tolist(),
+        right_mins.tolist(),
+    ):
         # Each flank must hold at least min_flank_snps SNPs: border i gives
         # a left window of (c - i + 1) SNPs; border j gives (j - c).
         left_max = min(left_max, c - (spec.min_flank_snps - 1))
@@ -269,7 +275,7 @@ def build_plans_from_positions(
         )
         plans.append(
             PositionPlan(
-                grid_position=float(centre),
+                grid_position=centre,
                 split_index=c,
                 region_start=lo,
                 region_stop=hi,

@@ -32,13 +32,26 @@ Three evaluators live here:
 
 :func:`omega_max_at_split` scores contiguous border runs (every grid
 plan's) in place, the way OmegaPlus's Kernel I reads window sums straight
-out of matrix M: Σ_LR is read as a slice of the prefix block, the
-window-pair counts come from cached tables, and the score grid lives in
-an :class:`OmegaWorkspace` owned by the scan. A workspace is not
-thread-safe; each scan (scanner sink, service request, worker block)
-keeps its own. Scores are bitwise identical to
+out of matrix M, with scratch in an :class:`OmegaWorkspace` owned by the
+scan. A workspace is not thread-safe; each scan (scanner sink, service
+request, worker block) keeps its own. Scores are bitwise identical to
 :func:`omega_split_matrix`, which stays the path for any other border
 set.
+
+In-place scoring has two kernels with the same bits:
+
+* the compiled loop in ``_eq2.c`` (see :mod:`repro.core.native`), which
+  scores a position's whole grid in one call. Per cell it does exactly
+  the numpy path's operations in its order: Σ_L and Σ_R as
+  ``0.5*(((a-b)-c)+d)``, Σ_LR as in ``cross_sums_block``, then
+  ``/ (l·r)``, ``+ eps``, ``(Σ_L+Σ_R) / max(C(l,2)+C(r,2), 1)`` with the
+  numerator 0 at the l = r = 1 corner, and the final divide. It is built
+  with ``-ffp-contract=off`` (no fused multiply-add) on the first call
+  of a process, never at import;
+* the numpy row blocks (:meth:`OmegaWorkspace.max_runs_numpy`): Σ_LR as
+  a slice of the prefix block, window-pair counts from cached tables.
+  They are the reference, and serve when the compiled kernel cannot be
+  built or the prefix rows are not contiguous.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core import native
 from repro.core.dp import SumMatrix
 from repro.errors import ScanConfigError
 
@@ -214,9 +228,12 @@ def _is_run(borders: np.ndarray) -> bool:
 class OmegaWorkspace:
     """Reusable buffers for scoring Eq. (2) in place.
 
-    Scores a position's ``(R, L)`` grid in blocks of right-border rows
-    (about :attr:`BLOCK_SCORES` scores each, so a block's operands stay
-    cache-resident), keeping only a running first-hit maximum. Holds two
+    :meth:`max_runs` scores with the compiled kernel, whose column
+    tables and row buffers live here. The numpy path
+    (:meth:`max_runs_numpy`) scores a position's ``(R, L)`` grid in
+    blocks of right-border rows (about :attr:`BLOCK_SCORES` scores each,
+    so a block's operands stay cache-resident), keeping only a running
+    first-hit maximum. Holds two
     block buffers (the cross term and the numerator) and two window-pair
     count tables indexed by window size: ``max(C(l,2) + C(r,2), 1)`` and
     ``l · r``. Counts are exact small integers in float64, so a table
@@ -239,6 +256,10 @@ class OmegaWorkspace:
         # borders give descending left-window sizes.
         self._within_pairs = np.empty((0, 0))
         self._cross_pairs = np.empty((0, 0))
+        # The compiled kernel's maximum cell, then its column tables and
+        # row buffers; the address is kept, as reading it costs ~2 us.
+        self._scratch = np.empty(1)
+        self._scratch_at = self._scratch.ctypes.data
 
     def _counts(self, nr_lo: int, nr_hi: int, nl_hi: int, nl_lo: int):
         """Table views for right-window sizes ``nr_lo..nr_hi`` (rows) and
@@ -267,6 +288,45 @@ class OmegaWorkspace:
         """``(omega, flat index)`` of the first maximum of
         :func:`omega_split_matrix`'s grid, for non-empty, ascending step-1
         border runs (the caller checks; :func:`omega_max_at_split` does).
+
+        Scores with the compiled kernel when it is loaded and the prefix
+        block's rows are contiguous, else with :meth:`max_runs_numpy`.
+        Both return the same bits.
+        """
+        l0, l1 = int(left_borders[0]), int(left_borders[-1])
+        r0, r1 = int(right_borders[0]), int(right_borders[-1])
+        if not (0 <= l0 <= l1 <= c < r0 <= r1 < sums.n_sites):
+            raise ScanConfigError(
+                f"borders {l0}..{l1} | {c} | {r0}..{r1} out of range for "
+                f"a region of {sums.n_sites} sites"
+            )
+        kernel = native.load_eq2()
+        p = sums.prefix
+        if kernel is None or p.strides[1] != 8 or p.strides[0] % 8:
+            return self.max_runs_numpy(
+                sums, left_borders, c, right_borders, eps=eps
+            )
+        size = 1 + 5 * (l1 - l0 + 1)
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+            self._scratch_at = self._scratch.ctypes.data
+        at = kernel(
+            p.ctypes.data, p.strides[0] // 8, l0, l1, c, r0, r1, eps,
+            self._scratch_at + 8, self._scratch_at,
+        )
+        return float(self._scratch[0]), at
+
+    def max_runs_numpy(
+        self,
+        sums: SumMatrix,
+        left_borders: np.ndarray,
+        c: int,
+        right_borders: np.ndarray,
+        *,
+        eps: float = DENOMINATOR_OFFSET,
+    ) -> tuple:
+        """:meth:`max_runs` in numpy row blocks: the reference for the
+        compiled kernel and the path when it is unavailable.
 
         Each block performs :func:`omega_from_sums`'s operations in its
         order, so every score is bitwise identical; the single cell with

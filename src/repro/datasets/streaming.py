@@ -15,10 +15,10 @@ VCF input in two passes —
    :class:`~repro.datasets.alignment.SNPAlignment` chunks for a monotonic
    sequence of site ranges, holding at most one chunk's genotypes at a
    time. VCF is site-major, so one forward pass with a sliding column
-   buffer serves every window; ms is row-major, so each window re-reads
-   the replicate and slices every row (bounded memory — one row plus the
-   chunk — at the price of one file pass per window, the classic
-   double-buffer streaming trade).
+   buffer serves every window; ms is row-major, so the index pass
+   records each haplotype row's byte offset and a window reads only its
+   own columns, one positioned read per row. A file whose size, mtime
+   or inode changed since the index pass is refused.
 
 Chunk positions stay in *global* coordinates
 (:meth:`SNPAlignment.site_slice` semantics), so window arithmetic and
@@ -29,6 +29,7 @@ chunk. ``scan_stream`` in :mod:`repro.core.scan` drives these sources.
 from __future__ import annotations
 
 import io
+import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -127,6 +128,14 @@ def enumerate_chromosomes(
             ChromosomeInfo(name=chrom, n_records=count)
             for chrom, count in vcf_chromosome_census(fh)
         ]
+
+
+def _offset_lines(fh: Iterable[bytes]) -> Iterator[Tuple[int, bytes]]:
+    """``(byte offset, raw line)`` for each line of a binary stream."""
+    offset = 0
+    for raw in fh:
+        yield offset, raw
+        offset += len(raw)
 
 
 def _check_ranges(
@@ -330,6 +339,12 @@ class StreamingAlignmentReader(AlignmentStreamSource):
             )
         self._path = path
         self._text = text
+        # The ms route works on bytes: a path is read as ASCII, and text
+        # is held encoded so a window slices it as it would read the file.
+        self._data = b""
+        self._encoding = "ascii"
+        self._row_offsets: List[int] = []
+        self._stamp: Optional[Tuple[int, int, int]] = None
         self._format = format
         self._replicate = replicate
         self._chromosome = chromosome
@@ -337,6 +352,8 @@ class StreamingAlignmentReader(AlignmentStreamSource):
         self._n_samples: int
         self._length: float
         if format == "ms":
+            if text is not None:
+                self._data, self._encoding = text.encode("utf-8"), "utf-8"
             self._index_ms(1.0 if length is None else float(length))
         else:
             self._index_vcf(length)
@@ -383,19 +400,25 @@ class StreamingAlignmentReader(AlignmentStreamSource):
         return _live_windows(self._vcf_windows(checked))
 
     # -------------------------------------------------------------- #
-    # ms route (row-major: per-window re-read, one row resident)
+    # ms route (row-major: rows indexed by byte offset, read per window)
     # -------------------------------------------------------------- #
 
+    def _ms_bytes(self) -> io.BufferedIOBase:
+        if self._path is not None:
+            return open(self._path, "rb")
+        return io.BytesIO(self._data)
+
     def _ms_enter_replicate(
-        self, fh: Iterable[str], *, parse_positions: bool
-    ):
-        """Advance ``fh`` into the target replicate. Returns
-        ``(segsites, rel_positions-or-None, row_line_iterator)``."""
+        self, lines: Iterator[Tuple[int, bytes]]
+    ) -> Tuple[int, np.ndarray]:
+        """Advance ``lines`` (``(byte offset, raw line)`` pairs) to the
+        target replicate's first haplotype row. Returns ``(segsites,
+        relative positions)``."""
         rep = self._replicate
-        lines = (ln.rstrip("\n") for ln in fh)
+        text = (raw.decode(self._encoding).rstrip("\n") for _, raw in lines)
         seen = 0
         found = False
-        for line in lines:
+        for line in text:
             if line.strip() == "//":
                 if seen == rep:
                     found = True
@@ -409,7 +432,7 @@ class StreamingAlignmentReader(AlignmentStreamSource):
             raise DataFormatError(
                 f"replicate {rep} out of range (file has {seen})"
             )
-        line = next((ln for ln in lines if ln.strip()), None)
+        line = next((ln for ln in text if ln.strip()), None)
         if line is None or not line.startswith("segsites:"):
             raise DataFormatError(
                 f"replicate {rep}: expected 'segsites:' after '//', "
@@ -418,81 +441,89 @@ class StreamingAlignmentReader(AlignmentStreamSource):
             )
         segsites = parse_segsites_line(line, rep)
         if segsites == 0:
-            return segsites, np.zeros(0), iter(())
-        line = next((ln for ln in lines if ln.strip()), None)
+            return segsites, np.zeros(0)
+        line = next((ln for ln in text if ln.strip()), None)
         if line is None or not line.startswith("positions:"):
             raise DataFormatError(
                 f"replicate {rep}: expected 'positions:' line"
             )
-        rel = (
-            parse_positions_line(line, segsites, rep)
-            if parse_positions
-            else None
-        )
-
-        def rows() -> Iterator[str]:
-            for ln in lines:
-                s = ln.strip()
-                if not s or s == "//":
-                    break
-                yield s
-
-        return segsites, rel, rows()
+        return segsites, parse_positions_line(line, segsites, rep)
 
     def _index_ms(self, length: float) -> None:
-        with self._open() as fh:
-            segsites, rel, rows = self._ms_enter_replicate(
-                fh, parse_positions=True
-            )
-            n_rows = 0
-            for row in rows:
-                parse_haplotype_line(row, segsites, self._replicate)
-                n_rows += 1
-            if segsites > 0 and n_rows == 0:
-                raise DataFormatError(
-                    f"replicate {self._replicate}: no haplotype rows"
-                )
-        self._n_samples = n_rows
+        """One pass: validate every haplotype row and record the byte
+        offset of its first allele, so a window reads only its columns."""
+        offsets: List[int] = []
+        with self._ms_bytes() as fh:
+            if self._path is not None:
+                st = os.fstat(fh.fileno())
+                self._stamp = (st.st_size, st.st_mtime_ns, st.st_ino)
+            lines = _offset_lines(fh)
+            segsites, rel = self._ms_enter_replicate(lines)
+            if segsites > 0:
+                for offset, raw in lines:
+                    row = raw.strip()
+                    if not row or row == b"//":
+                        break
+                    parse_haplotype_line(
+                        row.decode(self._encoding), segsites, self._replicate
+                    )
+                    offsets.append(offset + len(raw) - len(raw.lstrip()))
+                if not offsets:
+                    raise DataFormatError(
+                        f"replicate {self._replicate}: no haplotype rows"
+                    )
+        self._row_offsets = offsets
+        self._n_samples = len(offsets)
         self._positions = scale_positions(rel, length)
         self._length = length
 
     def _ms_windows(
         self, ranges: List[Tuple[int, int]]
     ) -> Iterator[SNPAlignment]:
+        def changed(what: str) -> StreamingError:
+            return StreamingError(
+                "ms input changed between the index pass and the chunk "
+                f"pass ({what})"
+            )
+
         def gen() -> Iterator[SNPAlignment]:
-            for lo, hi in ranges:
-                with self._open() as fh:
-                    segsites, _, rows = self._ms_enter_replicate(
-                        fh, parse_positions=False
-                    )
-                    sliced: List[np.ndarray] = []
-                    for row in rows:
-                        if len(row) != segsites:
-                            raise DataFormatError(
-                                f"replicate {self._replicate}: haplotype "
-                                f"of length {len(row)}, "
-                                f"expected {segsites}"
+            with self._ms_bytes() as fh:
+                if self._path is None:
+                    data = self._data
+
+                    def read(n: int, at: int) -> bytes:
+                        return data[at : at + n]
+
+                else:
+                    fd = fh.fileno()
+
+                    def read(n: int, at: int) -> bytes:
+                        return os.pread(fd, n, at)
+
+                for lo, hi in ranges:
+                    if self._path is not None:
+                        st = os.fstat(fd)
+                        stamp = (st.st_size, st.st_mtime_ns, st.st_ino)
+                        if stamp != self._stamp:
+                            raise changed(
+                                f"size, mtime or inode {stamp}, indexed "
+                                f"{self._stamp}"
                             )
-                        raw = np.frombuffer(
-                            row.encode("ascii"), dtype=np.uint8
-                        )
-                        sliced.append(raw[lo:hi] - ord("0"))
-                    if len(sliced) != self._n_samples:
-                        raise StreamingError(
-                            "ms input changed between the index pass and "
-                            f"the chunk pass ({len(sliced)} haplotypes, "
-                            f"indexed {self._n_samples})"
-                        )
-                matrix = (
-                    np.vstack(sliced)
-                    if sliced
-                    else np.zeros((0, hi - lo), dtype=np.uint8)
-                )
-                yield SNPAlignment(
-                    matrix=matrix,
-                    positions=self._positions[lo:hi],
-                    length=self._length,
-                )
+                    width = hi - lo
+                    matrix = np.empty((self._n_samples, width), np.uint8)
+                    for k, offset in enumerate(self._row_offsets):
+                        chunk = read(width, offset + lo)
+                        if len(chunk) != width:
+                            raise changed(f"short read in haplotype {k}")
+                        matrix[k] = np.frombuffer(chunk, dtype=np.uint8)
+                    matrix -= ord("0")
+                    if matrix.size and matrix.max() > 1:
+                        raise changed("a non-0/1 allele in the window")
+                    yield SNPAlignment(
+                        matrix=matrix,
+                        positions=self._positions[lo:hi],
+                        length=self._length,
+                    )
 
         return gen()
 

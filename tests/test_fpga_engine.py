@@ -126,3 +126,53 @@ class TestErrors:
         )
         with pytest.raises(AcceleratorError):
             FPGAOmegaEngine(PipelineModel(ZCU102)).scan(aln, config)
+
+
+class TestPartitionMergeNaN:
+    def test_software_nan_beats_hardware_number(
+        self, block_alignment, monkeypatch
+    ):
+        """With eps = 0 and a NaN r² pair spanning one position's whole
+        region, only that position's last right border (a software
+        remainder row at unroll 4) scores NaN. np.argmax over the grid
+        reports that NaN, so the hardware/software merge must too: the
+        report equals OmegaPlusScanner's bitwise."""
+        from repro.core.grid import build_plans
+        from repro.core.reuse import R2RegionCache
+
+        config = OmegaConfig(
+            grid=GridSpec(
+                n_positions=10, max_window=block_alignment.length / 3
+            ),
+            eps=0.0,
+        )
+        unroll = 4
+        plans = build_plans(block_alignment, config.grid)
+        k, plan = next(
+            (k, p)
+            for k, p in enumerate(plans)
+            if p.valid and p.right_borders.size % unroll
+        )
+        a, b = plan.region_start, plan.region_stop
+        region_matrix = R2RegionCache.region_matrix
+
+        def with_nan_pair(self, start, stop):
+            r2 = region_matrix(self, start, stop)
+            if start <= a and b <= stop:
+                r2 = r2.copy()
+                r2[a - start, b - start] = r2[b - start, a - start] = np.nan
+            return r2
+
+        monkeypatch.setattr(R2RegionCache, "region_matrix", with_nan_pair)
+        ref = OmegaPlusScanner(config).scan(block_alignment)
+        assert np.isnan(ref.omegas[k])
+        assert ref.right_borders_bp[k] == block_alignment.positions[b]
+
+        engine = FPGAOmegaEngine(PipelineModel(ZCU102, unroll=unroll))
+        res, _ = engine.scan(block_alignment, config)
+        for field in (
+            "omegas", "left_borders_bp", "right_borders_bp", "n_evaluations"
+        ):
+            assert getattr(res, field).tobytes() == getattr(
+                ref, field
+            ).tobytes()

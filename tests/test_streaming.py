@@ -9,6 +9,7 @@ benignly between workers).
 """
 
 import glob
+import os
 
 import numpy as np
 import pytest
@@ -177,6 +178,93 @@ class TestStreamingReaderMs:
         chunk = next(reader.windows([(0, reader.n_sites)]))
         np.testing.assert_array_equal(chunk.matrix, ref.matrix)
         np.testing.assert_array_equal(chunk.positions, ref.positions)
+
+
+def _ms_layout(text: str, layout: str) -> str:
+    """Re-lay an ms text: CRLF line ends, or haplotype rows padded with
+    leading and trailing blanks (both accepted by the in-memory parser)."""
+    if layout == "crlf":
+        return text.replace("\n", "\r\n")
+    if layout == "padded":
+        return "\n".join(
+            f" \t {ln}  " if ln[:1] in ("0", "1") else ln
+            for ln in text.split("\n")
+        )
+    return text
+
+
+class TestStreamingReaderMsOffsets:
+    """The ms chunk pass reads each row's columns at the byte offset the
+    index pass recorded, from a file (one positioned read per row) or
+    from encoded ``text=``."""
+
+    @pytest.mark.parametrize("route", ["path", "text"])
+    @pytest.mark.parametrize("replicate", [0, 1])
+    @pytest.mark.parametrize("layout", ["plain", "crlf", "padded"])
+    def test_chunks_match_parse_ms(self, tmp_path, route, replicate, layout):
+        reps = [
+            haplotype_block_alignment(8, 20, seed=1),
+            haplotype_block_alignment(10, 33, seed=2),
+        ]
+        text = _ms_layout(ms_text(reps), layout)
+        length = reps[replicate].length
+        ref = parse_ms_text(text, length=length)[replicate].alignment
+        if route == "path":
+            path = tmp_path / "input.ms"
+            path.write_bytes(text.encode("ascii"))
+            reader = StreamingAlignmentReader(
+                str(path), format="ms", length=length, replicate=replicate
+            )
+        else:
+            reader = StreamingAlignmentReader(
+                text=text, format="ms", length=length, replicate=replicate
+            )
+        n = ref.n_sites
+        ranges = [(0, 7), (3, 15), (15, 15), (15, n), (n, n)]
+        for (lo, hi), chunk in zip(ranges, reader.windows(ranges)):
+            sliced = ref.site_slice(lo, hi)
+            assert chunk.matrix.dtype == sliced.matrix.dtype
+            assert chunk.matrix.tobytes() == sliced.matrix.tobytes()
+            assert chunk.matrix.shape == sliced.matrix.shape
+            np.testing.assert_array_equal(chunk.positions, sliced.positions)
+
+    @pytest.mark.parametrize(
+        "change", ["truncated", "row_removed", "row_lengthened", "same_size"]
+    )
+    def test_input_changed_between_passes(self, tmp_path, change):
+        """Any change after indexing is refused, not read at stale
+        offsets. Detection compares the file's (size, mtime, inode); a
+        same-size rewrite is caught through its later mtime (set here
+        explicitly, since the filesystem clock may not tick between the
+        two writes of a fast test)."""
+        aln = haplotype_block_alignment(10, 30, seed=9)
+        text = ms_text([aln])
+        path = tmp_path / "input.ms"
+        path.write_text(text, encoding="ascii")
+        reader = StreamingAlignmentReader(
+            str(path), format="ms", length=aln.length
+        )
+        lines = text.split("\n")
+        row = [i for i, ln in enumerate(lines) if ln[:1] in ("0", "1")][3]
+        if change == "truncated":
+            new = text[: len(text) // 2]
+        elif change == "row_removed":
+            new = "\n".join(lines[:row] + lines[row + 1 :])
+        elif change == "row_lengthened":
+            lines[row] += "0"
+            new = "\n".join(lines)
+        else:
+            lines[row] = lines[row].translate(str.maketrans("01", "10"))
+            new = "\n".join(lines)
+        assert (len(new) == len(text)) == (change == "same_size")
+        before = path.stat()
+        path.write_text(new, encoding="ascii")
+        if change == "same_size":
+            os.utime(
+                path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9)
+            )
+        with pytest.raises(StreamingError, match="changed between"):
+            list(reader.windows([(0, 10), (5, reader.n_sites)]))
 
 
 class TestStreamingReaderVcf:
